@@ -27,6 +27,7 @@ from .output import (body_of, ensure_dir, snapshot_filename,  # noqa: F401
                      write_snapshot_csv)
 from .rhs import mass_defect_rate, rhs_vector
 from .runs import RunConfig, kernel_for_case, run_simulation, run_sweep
+from .state import AprioriBoundError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,11 +104,10 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     if cfg.epsilon is None:
         raise ConfigError("simulate requires a single epsilon (config key 'epsilon' or --epsilon)")
-    try:
-        run = run_simulation(cfg)
-    except IntegrationError as exc:
-        print(f"integrator failure: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATOR
+    if cfg.case == "custom":
+        raise ConfigError("simulate has no initial profile for case 'custom'; "
+                          "initial profiles exist only for case1, case2 and case3")
+    run = run_simulation(cfg)
     out = ensure_dir(cfg.output_dir)
     md = run.metadata()
     for st in run.snapshots:
@@ -235,6 +235,9 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"integrator failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
+    except AprioriBoundError as exc:
+        print(f"validation failure: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

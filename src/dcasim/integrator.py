@@ -118,6 +118,7 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
     h = min(h, h_max)
 
     k = np.empty((7, y.size))
+    stages = np.empty((6, y.size))   # stage states 1..6, reused by the defect quadrature
     k[0] = rhs_vector(y, dk)
     stats.rhs_evals += 1
     defect_int = 0.0
@@ -140,8 +141,8 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
             raise IntegrationError(f"step size underflow at t={t}")
 
         for s in range(1, 7):
-            ys = y + h * (_A_ROWS[s] @ k[:s])
-            k[s] = rhs_vector(ys, dk)
+            np.add(y, h * (_A_ROWS[s] @ k[:s]), out=stages[s - 1])
+            k[s] = rhs_vector(stages[s - 1], dk)
         stats.rhs_evals += 6
         y_new = y + h * (_B5 @ k)
         err = h * (_E @ k)
@@ -151,9 +152,7 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
         if err_norm <= 1.0:
             stats.accepted += 1
             # defect quadrature shares the propagating weights (b7 = 0)
-            defect_stages = [mass_defect_rate(y, dk)]
-            for s in range(1, 6):
-                defect_stages.append(mass_defect_rate(y + h * (_A_ROWS[s] @ k[:s]), dk))
+            defect_stages = [mass_defect_rate(ys, dk) for ys in (y, *stages[:5])]
             defect_int += h * float(_B5[:6] @ np.array(defect_stages))
 
             t = t + h

@@ -13,7 +13,14 @@ import numpy as np
 
 from .grid import Grid
 
-FAMILIES = ("constant", "product", "sum")
+# Separable form s * K(x, y) = sum_r a_r(x) * b_r(y), b_r(y) being 1 (key "1")
+# or y (key "x"); each family maps (s, value, x) to its pairs (a_r(x), key_r).
+_FACTORS = {
+    "constant": lambda s, value, x: ((s * value, "1"),),
+    "product": lambda s, value, x: ((s * x, "x"),),
+    "sum": lambda s, value, x: ((s * x, "1"), (s, "x")),
+}
+FAMILIES = tuple(_FACTORS)
 
 
 @dataclass(frozen=True)
@@ -48,21 +55,24 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class DiscreteKernel:
-    """Discretized kernel matrices on a grid.
+    """Discretized kernel matrices on a grid, dense and in separable form.
 
     ``Kd[i-1, j-1]`` stores the value at cell pair (i, j); under the point rule
     that is ``eps * K(eps*i, eps*j)``, so the factor ``eps`` is carried by the
-    matrix and the RHS applies no second one.  ``k_const`` / ``c_const`` hold
-    the common entry when the kernel is constant, which enables the O(m)
-    prefix-sum evaluation path.
+    matrix and the RHS applies no second one.  ``K_factors`` holds pairs
+    ``(a_r, key_r)`` with ``Kd[i, j] = sum_r a_r[i] * columns[key_r][j]``
+    (``a_r`` a scalar or a vector; a ``None`` column is all ones), likewise
+    ``C_factors`` for ``Cd``; exact under both rules, as cell-averaging a
+    bilinear kernel gives its centre value.  The O(m) RHS reads the factors.
     """
 
     grid: Grid
     Kd: np.ndarray
     Cd: np.ndarray
     rule: str
-    k_const: float | None = None
-    c_const: float | None = None
+    K_factors: tuple
+    C_factors: tuple
+    columns: dict
 
 
 @dataclass
@@ -140,7 +150,7 @@ def _cell_average_matrix(evaluate, grid: Grid, q: int) -> np.ndarray:
 
 
 def discretize(spec: KernelSpec, grid: Grid, rule: str = "point", quad_points: int = 4) -> DiscreteKernel:
-    """Fill the discrete kernel matrices for both K and C.
+    """Fill the kernel matrices and their separable factors (s = eps) for K and C.
 
     ``rule`` is ``point`` (default: ``eps * K(eps*i, eps*j)``) or
     ``cell_average`` (tensor Gauss quadrature with ``quad_points`` nodes per
@@ -161,14 +171,15 @@ def discretize(spec: KernelSpec, grid: Grid, rule: str = "point", quad_points: i
         Kd = _cell_average_matrix(evK, grid, quad_points)
         Cd = _cell_average_matrix(evC, grid, quad_points)
 
-    k_const = grid.epsilon * spec.K_value if spec.family_K == "constant" else None
-    c_const = None
+    xs = grid.centers()
+    K_factors = _FACTORS[spec.family_K](grid.epsilon, spec.K_value, xs)
     if spec.lam is not None:
-        c_const = spec.lam * k_const if k_const is not None else None
-    elif spec.family_C == "constant":
-        c_const = grid.epsilon * spec.C_value
-    return DiscreteKernel(grid=grid, Kd=Kd, Cd=Cd, rule=rule,
-                          k_const=k_const, c_const=c_const)
+        C_factors = tuple((spec.lam * a, key) for a, key in K_factors)
+    else:
+        C_factors = _FACTORS[spec.family_C](grid.epsilon, spec.C_value, xs)
+    columns = {key: None if key == "1" else xs for _, key in K_factors + C_factors}
+    return DiscreteKernel(grid=grid, Kd=Kd, Cd=Cd, rule=rule, K_factors=K_factors,
+                          C_factors=C_factors, columns=columns)
 
 
 def probe_hypotheses(spec: KernelSpec, R: float = 1.0, y_probe_max: float = 1000.0,

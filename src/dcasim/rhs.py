@@ -14,8 +14,11 @@ with the four per-row sums
 
 The stored matrices already carry the factor eps (``Kd = eps * K(eps i, eps j)``
 under the point rule) so no outer eps is applied here; a unit test pins this
-convention.  Generic kernels cost O(m^2) per evaluation via row-cumulative
-sums; constant kernels collapse to O(m) prefix/suffix sums.
+convention.  Every kernel is evaluated through its separable factors
+``Kd[i,j] = sum_r a_r[i] * b_r[j]`` (``DiscreteKernel``): each sum is then a
+combination of prefix sums (suffix sums as ``total - prefix + own term``) of
+``b*j*c`` and ``b*c``, two cumulative sums per distinct ``b``, so one
+evaluation costs O(m) for every kernel.
 """
 
 from __future__ import annotations
@@ -26,50 +29,30 @@ from .kernels import DiscreteKernel
 from .state import DiscreteState
 
 
-def _sums_generic(c: np.ndarray, Kd: np.ndarray, Cd: np.ndarray):
-    m = c.size
-    j1 = np.arange(1, m + 1, dtype=float)
-    jc = j1 * c
-    idx = np.arange(m)
-
-    csA = np.cumsum(Kd * jc[None, :], axis=1)
-    A = csA[idx, idx]
-
-    csW = np.cumsum(Kd * c[None, :], axis=1)
-    W = csW[:, -1] - np.where(idx > 0, csW[idx, np.maximum(idx - 1, 0)], 0.0)
-
-    csG = np.cumsum(Cd * jc[None, :], axis=1)
-    G = csG[:, -1] - np.where(idx > 0, csG[idx, np.maximum(idx - 1, 0)], 0.0)
-
-    csZ = np.cumsum(Cd * c[None, :], axis=1)
-    Z = csZ[idx, idx]
-    return A, W, G, Z
-
-
-def _sums_constant(c: np.ndarray, kval: float, cval: float):
-    m = c.size
-    j1 = np.arange(1, m + 1, dtype=float)
-    jc = j1 * c
-    pre_jc = np.cumsum(jc)
-    pre_c = np.cumsum(c)
-    A = kval * pre_jc
-    W = kval * (pre_c[-1] - pre_c + c)
-    G = cval * (pre_jc[-1] - pre_jc + jc)
-    Z = cval * pre_c
-    return A, W, G, Z
+def _combine(factors, sums):
+    """``sum_r a_r * sums[key_r]`` over the separable factors."""
+    (a, key), *rest = factors
+    out = a * sums[key]
+    for a, key in rest:
+        out += a * sums[key]
+    return out
 
 
 def rhs_vector(c: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
     """Time derivative of the concentration vector (no state wrapper)."""
-    if dk.k_const is not None and dk.c_const is not None:
-        A, W, G, Z = _sums_constant(c, dk.k_const, dk.c_const)
-    else:
-        A, W, G, Z = _sums_generic(c, dk.Kd, dk.Cd)
-    flux = c * (A + G)
+    jc = np.arange(1, c.size + 1, dtype=float) * c
+    pre_jc, suf_jc, pre_c, suf_c = {}, {}, {}, {}
+    for key, b in dk.columns.items():
+        bjc, bc = (jc, c) if b is None else (b * jc, b * c)
+        pre_jc[key], pre_c[key] = np.cumsum(bjc), np.cumsum(bc)
+        suf_jc[key] = pre_jc[key][-1] - pre_jc[key] + bjc
+        suf_c[key] = pre_c[key][-1] - pre_c[key] + bc
+    # A + G and W + Z of the module docstring
+    flux = c * (_combine(dk.K_factors, pre_jc) + _combine(dk.C_factors, suf_jc))
     Q = np.empty_like(c)
     Q[0] = -flux[0]
     Q[1:] = flux[:-1] - flux[1:]
-    Q -= c * (W + Z)
+    Q -= c * (_combine(dk.K_factors, suf_c) + _combine(dk.C_factors, pre_c))
     return Q
 
 
@@ -92,14 +75,14 @@ def mass_defect_rate(state_or_c, dk: DiscreteKernel) -> float:
     m = c.size
     if m != dk.grid.m:
         raise ValueError("state and discrete kernel live on different grids")
-    j1 = np.arange(1, m + 1, dtype=float)
-    if dk.k_const is not None:
-        A_m = dk.k_const * float(np.sum(j1 * c))
-    else:
-        A_m = float(np.sum(j1 * dk.Kd[-1, :] * c))
-    C_mm = dk.c_const if dk.c_const is not None else float(dk.Cd[-1, -1])
+    jc = np.arange(1, m + 1, dtype=float) * c
+    # A_m and Cd[m,m] are the last entries of sum_r a_r * (b_r . jc), sum_r a_r * b_r[m]
+    col_jc = {key: float(np.sum(jc if b is None else b * jc)) for key, b in dk.columns.items()}
+    col_m = {key: 1.0 if b is None else b[-1] for key, b in dk.columns.items()}
+    A_m = np.atleast_1d(_combine(dk.K_factors, col_jc))[-1]
+    C_mm = np.atleast_1d(_combine(dk.C_factors, col_m))[-1]
     cm = float(c[-1])
-    return -(m + 1) * cm * A_m - m * (m + 1) * C_mm * cm * cm
+    return float(-(m + 1) * cm * A_m - m * (m + 1) * C_mm * cm * cm)
 
 
 def weak_form_rate(state_or_c, dk: DiscreteKernel, phi: np.ndarray) -> float:

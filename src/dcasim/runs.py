@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 from .analysis import ConvergenceTable, rel_l1_error
 from .exact import ExactCase, has_closed_form, initial_profile
 from .grid import build_grid
-from .integrator import IntegratorConfig, StepStats, integrate
+from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate
 from .kernels import DiscreteKernel, KernelSpec, discretize, probe_hypotheses
-from .state import (DiscreteState, MomentSeries, ProjectionLoss,
-                    check_apriori_bounds, project_initial, reconstruct,
+from .state import (AprioriBoundError, DiscreteState, MomentSeries,
+                    ProjectionLoss, check_apriori_bounds, project_initial, reconstruct,
                     weighted_initial_norm)
 
 DEFAULT_EPSILON_LADDER = (0.05, 0.01, 0.005)
@@ -152,7 +152,7 @@ def _sweep_one(args):
     cfg, eps = args
     try:
         run = run_simulation(cfg, epsilon=eps)
-    except Exception as exc:  # keep remaining epsilons alive
+    except (IntegrationError, AprioriBoundError) as exc:  # keep remaining epsilons alive
         return eps, None, f"{type(exc).__name__}: {exc}"
     return eps, run, None
 

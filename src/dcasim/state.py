@@ -12,6 +12,10 @@ from .grid import Grid
 DEFAULT_PANELS = 16
 
 
+class AprioriBoundError(RuntimeError):
+    """A trajectory left the a-priori density bounds."""
+
+
 @dataclass
 class DiscreteState:
     """Per-cell concentrations ``c_i`` at time ``t`` (``c_0 = 0`` implicitly)."""
@@ -146,13 +150,13 @@ def check_apriori_bounds(state: DiscreteState, initial_norm: float, slack: float
     """Assert the trajectory bounds: M1 <= 2*norm and M0 <= norm.
 
     ``initial_norm`` is the weighted integral of the initial profile; raises
-    ``RuntimeError`` on violation.
+    ``AprioriBoundError`` on violation.
     """
     m0 = moment(state, 0)
     m1 = moment(state, 1)
     tol = slack * max(1.0, initial_norm)
     if m1 > 2.0 * initial_norm + tol or m0 > initial_norm + tol:
-        raise RuntimeError(
+        raise AprioriBoundError(
             f"a-priori density bounds violated at t={state.t}: "
             f"M0={m0}, M1={m1}, weighted initial norm={initial_norm}"
         )

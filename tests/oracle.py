@@ -3,7 +3,10 @@
 Everything here is written as literal, loop-based transcriptions of the
 defining formulas, sharing no code with the package: a naive RHS built
 directly from the kernel closed forms, a direct weak-form double loop, and a
-fixed-step classical RK4 reference integrator.
+fixed-step classical RK4 reference integrator.  The two RHS evaluations the
+package used before its separable-factor path are kept as references too:
+the O(m^2) row-cumulative sums over the dense matrices, and the O(m)
+prefix-sum formula for constant kernels.
 """
 
 from __future__ import annotations
@@ -64,6 +67,69 @@ def naive_rhs(c, spec: KernelSpec, epsilon: float) -> np.ndarray:
         loss = c[i - 1] * (A(i) + G(i)) + c[i - 1] * (W(i) + Z(i))
         out.append(gain - loss)
     return np.array(out)
+
+
+def dense_sums(c: np.ndarray, Kd: np.ndarray, Cd: np.ndarray):
+    """A, W, G, Z by row-cumulative sums over the dense matrices, O(m^2)."""
+    m = c.size
+    j1 = np.arange(1, m + 1, dtype=float)
+    jc = j1 * c
+    idx = np.arange(m)
+
+    csA = np.cumsum(Kd * jc[None, :], axis=1)
+    A = csA[idx, idx]
+
+    csW = np.cumsum(Kd * c[None, :], axis=1)
+    W = csW[:, -1] - np.where(idx > 0, csW[idx, np.maximum(idx - 1, 0)], 0.0)
+
+    csG = np.cumsum(Cd * jc[None, :], axis=1)
+    G = csG[:, -1] - np.where(idx > 0, csG[idx, np.maximum(idx - 1, 0)], 0.0)
+
+    csZ = np.cumsum(Cd * c[None, :], axis=1)
+    Z = csZ[idx, idx]
+    return A, W, G, Z
+
+
+def constant_sums(c: np.ndarray, kval: float, cval: float):
+    """A, W, G, Z for constant matrices Kd = kval, Cd = cval by prefix sums."""
+    m = c.size
+    j1 = np.arange(1, m + 1, dtype=float)
+    jc = j1 * c
+    pre_jc = np.cumsum(jc)
+    pre_c = np.cumsum(c)
+    A = kval * pre_jc
+    W = kval * (pre_c[-1] - pre_c + c)
+    G = cval * (pre_jc[-1] - pre_jc + jc)
+    Z = cval * pre_c
+    return A, W, G, Z
+
+
+def rhs_from_sums(c: np.ndarray, A, W, G, Z) -> np.ndarray:
+    """Assemble the per-cell balance from the four per-row sums."""
+    flux = c * (A + G)
+    Q = np.empty_like(c)
+    Q[0] = -flux[0]
+    Q[1:] = flux[:-1] - flux[1:]
+    Q -= c * (W + Z)
+    return Q
+
+
+def dense_mass_defect_rate(c: np.ndarray, Kd: np.ndarray, Cd: np.ndarray) -> float:
+    """-(m+1) c_m A_m - m (m+1) Cd[m,m] c_m^2 read off the dense matrices."""
+    m = c.size
+    j1 = np.arange(1, m + 1, dtype=float)
+    A_m = float(np.sum(j1 * Kd[-1, :] * c))
+    cm = float(c[-1])
+    return -(m + 1) * cm * A_m - m * (m + 1) * float(Cd[-1, -1]) * cm * cm
+
+
+def constant_mass_defect_rate(c: np.ndarray, kval: float, cval: float) -> float:
+    """The boundary defect rate for constant matrices Kd = kval, Cd = cval."""
+    m = c.size
+    j1 = np.arange(1, m + 1, dtype=float)
+    A_m = kval * float(np.sum(j1 * c))
+    cm = float(c[-1])
+    return -(m + 1) * cm * A_m - m * (m + 1) * cval * cm * cm
 
 
 def naive_weighted_rate(c, spec: KernelSpec, epsilon: float) -> float:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import yaml
 
-from dcasim.cli import (EXIT_CONFIG, EXIT_OK, main)
+import dcasim.cli
+from dcasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from dcasim.output import body_of, snapshot_filename
+from dcasim.state import AprioriBoundError
 
 FAST_YAML = {
     "case": "case1",
@@ -83,6 +85,24 @@ def test_missing_config_file_is_config_error(tmp_path):
 def test_bad_epsilon_is_config_error(tmp_path):
     cfg = _write_config(tmp_path, FAST_YAML)
     assert main(["simulate", "--config", cfg, "--epsilon", "1.5"]) == EXIT_CONFIG
+
+
+def test_simulate_custom_case_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "case": "custom", "epsilon": 0.2,
+        "kernel": {"K": "product", "C": "product"}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "no initial profile" in capsys.readouterr().err
+
+
+def test_apriori_bound_violation_is_validation_failure(tmp_path, monkeypatch, capsys):
+    def violate(cfg):
+        raise AprioriBoundError("a-priori density bounds violated at t=1.0")
+
+    monkeypatch.setattr(dcasim.cli, "run_simulation", violate)
+    cfg = _write_config(tmp_path, FAST_YAML)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "a-priori density bounds violated" in capsys.readouterr().err
 
 
 def test_sweep_writes_error_tables(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dcasim.grid import build_grid
-from dcasim.kernels import (KernelSpec, discretize, eval_C, eval_K,
+from dcasim.kernels import (FAMILIES, KernelSpec, discretize, eval_C, eval_K,
                             probe_hypotheses)
 
 
@@ -56,8 +56,10 @@ def test_point_rule_constant_matrix():
     dk = discretize(KernelSpec(family_K="constant", K_value=1.0, lam=1.0), g)
     np.testing.assert_allclose(dk.Kd, 0.1)
     np.testing.assert_allclose(dk.Cd, 0.1)
-    assert dk.k_const == pytest.approx(0.1)
-    assert dk.c_const == pytest.approx(0.1)
+    # scalar row factors, as the O(m) constant formula uses them
+    assert dk.K_factors == ((0.1 * 1.0, "1"),)
+    assert dk.C_factors == ((1.0 * (0.1 * 1.0), "1"),)
+    assert dk.columns == {"1": None}
 
 
 def test_point_rule_product_entry():
@@ -66,7 +68,24 @@ def test_point_rule_product_entry():
     spec = KernelSpec(family_K="product", family_C="product")
     dk = discretize(spec, g)
     assert dk.Kd[1, 2] == pytest.approx(0.1 * (0.2 * 0.3))
-    assert dk.k_const is None and dk.c_const is None
+    (a, key), = dk.K_factors
+    assert a[1] * dk.columns[key][2] == pytest.approx(0.1 * (0.2 * 0.3))
+
+
+@pytest.mark.parametrize("rule", ["point", "cell_average"])
+def test_factors_reproduce_dense_matrices(rule):
+    g = build_grid(0.1, 2.0)
+    specs = [KernelSpec(family_K=fam, K_value=2.0, lam=0.75) for fam in FAMILIES]
+    specs += [KernelSpec(family_K=fam, lam=None, family_C=fam_C, C_value=0.5)
+              for fam in FAMILIES for fam_C in FAMILIES]
+    ones = np.ones(g.m)
+    for spec in specs:
+        dk = discretize(spec, g, rule=rule)
+        for factors, dense in ((dk.K_factors, dk.Kd), (dk.C_factors, dk.Cd)):
+            rebuilt = sum(np.outer(np.broadcast_to(a, g.m),
+                                   ones if dk.columns[key] is None else dk.columns[key])
+                          for a, key in factors)
+            np.testing.assert_allclose(rebuilt, dense, rtol=1e-13, atol=0.0)
 
 
 def test_discretized_matrices_symmetric():

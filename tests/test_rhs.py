@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dcasim.grid import build_grid
-from dcasim.kernels import DiscreteKernel, KernelSpec, discretize
+from dcasim.kernels import FAMILIES, KernelSpec, discretize
 from dcasim.rhs import eval_rhs, mass_defect_rate, rhs_vector, weak_form_rate
 from dcasim.state import DiscreteState
 
-from oracle import (ORACLE_KERNELS, naive_rhs, naive_weak_form, small_grid)
+from oracle import (ORACLE_KERNELS, constant_mass_defect_rate, constant_sums,
+                    dense_mass_defect_rate, dense_sums, naive_rhs,
+                    naive_weak_form, rhs_from_sums, small_grid)
 
 
 def _dk(spec, epsilon, m):
@@ -34,15 +37,60 @@ def test_eval_rhs_grid_mismatch():
         eval_rhs(other, dk)
 
 
-def test_constant_fast_path_matches_generic():
-    # strip the constant markers to force the cumulative-sum path
+def _factor_specs():
+    # every K family, with C tied by lam and with each own C family
+    for fam in FAMILIES:
+        yield KernelSpec(family_K=fam, K_value=2.5, lam=0.5)
+        for fam_C in FAMILIES:
+            yield KernelSpec(family_K=fam, K_value=2.5, lam=None,
+                             family_C=fam_C, C_value=0.7)
+
+
+@pytest.mark.parametrize("rule", ["point", "cell_average"])
+def test_factor_path_matches_dense_reference(rule):
     rng = np.random.default_rng(7)
-    for m in (2, 5, 17):
-        dk = _dk(CONST, 0.1, m)
-        slow = DiscreteKernel(grid=dk.grid, Kd=dk.Kd, Cd=dk.Cd, rule=dk.rule)
-        c = rng.random(m)
-        np.testing.assert_allclose(rhs_vector(c, dk), rhs_vector(c, slow),
-                                   rtol=1e-13, atol=1e-16)
+    for spec in _factor_specs():
+        for m in (2, 5, 17, 64):
+            eps = float(rng.uniform(0.05, 0.4))
+            dk = discretize(spec, small_grid(eps, m), rule=rule)
+            c = rng.random(m)
+            ref = rhs_from_sums(c, *dense_sums(c, dk.Kd, dk.Cd))
+            err = np.max(np.abs(rhs_vector(c, dk) - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref)), (spec, m)
+            d_ref = dense_mass_defect_rate(c, dk.Kd, dk.Cd)
+            assert abs(mass_defect_rate(c, dk) - d_ref) <= 1e-13 * abs(d_ref), (spec, m)
+
+
+def test_constant_path_bitwise_matches_reference():
+    # the O(m) constant-kernel formula, values and rounding unchanged
+    rng = np.random.default_rng(29)
+    eps = 0.1
+    pairs = [(KernelSpec(family_K="constant", K_value=2.5, lam=lam), eps * 2.5, lam * (eps * 2.5))
+             for lam in (0.0, 0.5, 1.0)]
+    pairs.append((KernelSpec(family_K="constant", K_value=2.5, lam=None,
+                             family_C="constant", C_value=0.7), eps * 2.5, eps * 0.7))
+    for spec, kval, cval in pairs:
+        for m in (2, 5, 17, 64):
+            dk = _dk(spec, eps, m)
+            c = rng.random(m) - 0.1
+            ref = rhs_from_sums(c, *constant_sums(c, kval, cval))
+            np.testing.assert_array_equal(rhs_vector(c, dk), ref)
+            assert mass_defect_rate(c, dk) == constant_mass_defect_rate(c, kval, cval)
+
+
+@pytest.mark.parametrize("family", ["product", "sum"])
+def test_rhs_memory_linear_in_m(family):
+    # no m x m temporaries: at m = 2000 one such array alone is 32 MB
+    m = 2000
+    dk = _dk(KernelSpec(family_K=family, family_C=family), 0.005, m)
+    c = np.random.default_rng(31).random(m)
+    tracemalloc.start()
+    try:
+        rhs_vector(c, dk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_matches_naive_oracle_all_kernels():

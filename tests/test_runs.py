@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import dcasim.runs
+from dcasim.integrator import IntegrationError
 from dcasim.kernels import KernelSpec
 from dcasim.runs import (RunConfig, exact_case_for, kernel_for_case,
                          run_simulation, run_sweep)
@@ -87,6 +89,27 @@ def test_sweep_tabulates_errors_per_time():
         assert [eps for eps, _ in table.rows] == [0.2, 0.1]
         errs = [err for _, err in table.rows]
         assert errs[1] < errs[0]        # refinement reduces the error
+
+
+def test_sweep_records_integrator_failures(monkeypatch):
+    def fail(cfg, epsilon=None):
+        raise IntegrationError("step size underflow at t=0.5")
+
+    monkeypatch.setattr(dcasim.runs, "run_simulation", fail)
+    res = run_sweep(RunConfig(case="case1", epsilon_list=(0.2, 0.1), t_max=1.0,
+                              snapshot_times=(1.0,)))
+    assert res.runs == {}
+    assert res.failures[0.2] == "IntegrationError: step size underflow at t=0.5"
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    def broken(cfg, epsilon=None):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(dcasim.runs, "run_simulation", broken)
+    with pytest.raises(TypeError):
+        run_sweep(RunConfig(case="case1", epsilon_list=(0.2, 0.1), t_max=1.0,
+                            snapshot_times=(1.0,)))
 
 
 def test_sweep_threads_match_serial():
