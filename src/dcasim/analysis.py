@@ -5,13 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  (unused; the benchmark tracer patches this name)
 
 from .exact import ExactCase, breakpoints, exact_solution, has_closed_form
 from .kernels import KernelSpec
-from .state import MomentSeries, StepFunction
+from .state import MomentSeries, StepFunction, _integrate_cells
 
 _ROOT_TOL = 1e-10
+_PROBES = 8  # equispaced sign probes per piece
 
 
 @dataclass(frozen=True)
@@ -44,45 +45,42 @@ class MomentBoundReport:
     violations: list
 
 
-def _simpson(f, a: float, b: float, panels: int) -> float:
-    xs = np.linspace(a, b, panels + 1)
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return (b - a) / (3.0 * panels) * float(w @ f(xs))
+def _pieces(sf: StepFunction, breaks: tuple[float, ...]):
+    """Arrays ``(a, b, v)``: the step function is ``v`` on each piece [a, b].
 
-
-def _split_points(f, a: float, b: float, probes: int = 8) -> list[float]:
-    """Roots of f inside (a, b), located by bisection between sampled nodes."""
-    xs = np.linspace(a, b, probes + 1)
-    vals = np.array([f(x) for x in xs])
-    roots = []
-    for lo, hi, vlo, vhi in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if vlo == 0.0 or vlo * vhi >= 0.0:
-            continue
-        roots.append(float(brentq(f, lo, hi, xtol=_ROOT_TOL)))
-    return roots
-
-
-def _abs_integral(f_exact, value: float, a: float, b: float,
-                  hard_breaks: tuple[float, ...], panels: int) -> float:
-    """Integral of |f_exact - value| over [a, b].
-
-    The interval is split at reference-solution breakpoints and at sign
-    changes of the difference, so each Simpson panel integrates a smooth,
-    single-signed integrand and the absolute value can be taken outside.
+    The pieces are the dust cell [0, eps/2), the m cells and the tail beyond
+    the last cell (value 0 outside the cells), each split at ``breaks``.
     """
-    diff = lambda x: f_exact(x) - value
-    cuts = [a, b]
-    cuts += [p for p in hard_breaks if a < p < b]
-    cuts = sorted(cuts)
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        pieces = [lo] + _split_points(diff, lo, hi) + [hi]
-        for p, q in zip(pieces[:-1], pieces[1:]):
-            if q > p:
-                total += abs(_simpson(np.vectorize(diff, otypes=[float]), p, q, panels))
-    return total
+    grid = sf.grid
+    a = [[0.0], grid.left_edges()]
+    b = [[grid.lower], grid.right_edges()]
+    v = [[0.0], np.asarray(sf.values, dtype=float)]
+    if grid.x_max > grid.upper:
+        a.append([grid.upper])
+        b.append([grid.x_max])
+        v.append([0.0])
+    a, b, v = np.concatenate(a), np.concatenate(b), np.concatenate(v)
+    for p in breaks:
+        k = np.flatnonzero((a < p) & (p < b))
+        a = np.insert(a, k + 1, p)
+        b = np.insert(b, k, p)
+        v = np.insert(v, k, v[k])
+    return a, b, v
+
+
+def _bisect(diff, lo: np.ndarray, hi: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """Sign changes of ``diff`` in the brackets [lo, hi], all refined together.
+
+    ``side`` is the sign of ``diff`` at ``lo``.  Each result is the last point
+    found with that sign (not the midpoint of the final bracket), so a jump at
+    a bracket's left end returns that end exactly.
+    """
+    while lo.size and np.max(hi - lo) > _ROOT_TOL:
+        mid = 0.5 * (lo + hi)
+        same = np.sign(diff(mid)) == side
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return lo
 
 
 def rel_l1_error(sf: StepFunction, case: ExactCase, t: float,
@@ -91,32 +89,40 @@ def rel_l1_error(sf: StepFunction, case: ExactCase, t: float,
 
     Both norms are taken over [0, x_max]; the step function is zero on the
     dust region and beyond the last cell, and those stretches contribute to
-    the numerator.
+    the numerator.  Every piece of the step function is split at the
+    reference solution's breakpoints and at the sign changes of the
+    difference found between ``_PROBES + 1`` equispaced probes, so each
+    Simpson piece integrates a smooth, single-signed integrand and the
+    absolute value can be taken outside.
     """
     if not has_closed_form(case):
         raise ValueError(f"{case.id} with lambda={case.lam} has no closed form")
-    grid = sf.grid
-    f_ex_vec = lambda xs: exact_solution(case, t, xs)
-    f_ex = lambda x: float(exact_solution(case, t, float(x)))
-    hard = breakpoints(case, t)
-
-    segments = [(0.0, grid.lower, 0.0)]
-    left = grid.left_edges()
-    right = grid.right_edges()
-    segments += [(float(a), float(b), float(v)) for a, b, v in zip(left, right, sf.values)]
-    if grid.x_max > grid.upper:
-        segments.append((grid.upper, grid.x_max, 0.0))
-
-    numerator = 0.0
-    denominator = 0.0
-    for a, b, v in segments:
-        numerator += _abs_integral(f_ex, v, a, b, hard, panels)
-        cuts = sorted([a, b] + [p for p in hard if a < p < b])
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            denominator += _simpson(f_ex_vec, lo, hi, panels)
+    f = lambda x: exact_solution(case, t, x)
+    a, b, v = _pieces(sf, breakpoints(case, t))
+    denominator = float(np.sum(_integrate_cells(f, a, b, panels)))
     if denominator <= 0.0:
-        raise ValueError(f"reference solution has no mass on [0, {grid.x_max}] at t={t}")
-    return ErrorReport(epsilon=grid.epsilon, t=t, E1=numerator / denominator,
+        raise ValueError(f"reference solution has no mass on [0, {sf.grid.x_max}] at t={t}")
+
+    probes = np.linspace(a, b, _PROBES + 1, axis=1)
+    d = f(probes) - v[:, None]
+    change = d[:, :-1] * d[:, 1:] < 0.0
+    vb = v[np.nonzero(change)[0]]
+    roots = _bisect(lambda x: f(x) - vb, probes[:, :-1][change],
+                    probes[:, 1:][change], np.sign(d[:, :-1][change]))
+
+    # cut each piece at its roots; consecutive cuts of one piece bound a sub-piece
+    cuts = np.empty((a.size, _PROBES + 2))
+    cuts[:, 0], cuts[:, -1] = a, b
+    cuts[:, 1:-1][change] = roots
+    keep = np.ones(cuts.shape, dtype=bool)
+    keep[:, 1:-1] = change
+    row = np.broadcast_to(np.arange(a.size)[:, None], cuts.shape)[keep]
+    x = cuts[keep]
+    sub = (row[:-1] == row[1:]) & (x[1:] > x[:-1])
+    lo, hi, val = x[:-1][sub], x[1:][sub], v[row[:-1][sub]]
+    numerator = float(np.sum(np.abs(
+        _integrate_cells(lambda x: f(x) - val[:, None], lo, hi, panels))))
+    return ErrorReport(epsilon=sf.grid.epsilon, t=t, E1=numerator / denominator,
                        numerator=numerator, denominator=denominator)
 
 

@@ -2,9 +2,8 @@
 
 Configuration comes from a YAML file plus flag overrides; every experiment
 parameter has a documented default (domain [0, 10], epsilon ladder
-0.05/0.01/0.005, snapshots at t = 1 and 2.5, M = 3, lambda set
-{0, 0.5, 0.75, 1}).  Output is CSV with `#`-prefixed metadata headers; plots
-are left to external tooling.
+0.05/0.01/0.005, snapshots at t = 1 and 2.5, M = 3).  Output is CSV with
+`#`-prefixed metadata headers; plots are left to external tooling.
 
 Exit codes: 0 success, 2 configuration error, 3 integrator failure,
 4 validation failure.
@@ -67,7 +66,7 @@ def _load_config(args) -> RunConfig:
 
     fields = {}
     for key in ("case", "epsilon", "epsilon_list", "x_max", "t_max",
-                "snapshot_times", "M", "lam", "lambda_list", "rtol", "atol",
+                "snapshot_times", "M", "lam", "rtol", "atol",
                 "negativity_policy", "output_dir", "threads"):
         if key in raw:
             fields[key] = raw.pop(key)
@@ -90,7 +89,7 @@ def _load_config(args) -> RunConfig:
     if args.threads is not None:
         fields["threads"] = args.threads
 
-    for key in ("epsilon_list", "snapshot_times", "lambda_list"):
+    for key in ("epsilon_list", "snapshot_times"):
         if key in fields:
             fields[key] = tuple(float(v) for v in fields[key])
     fields["kernel"] = kernel
@@ -166,7 +165,10 @@ def _naive_rhs_small(c, Kd, Cd):
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
-    spec = cfg.kernel if cfg.kernel is not None else kernel_for_case(cfg)
+    try:
+        spec = cfg.kernel if cfg.kernel is not None else kernel_for_case(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     probe = probe_hypotheses(spec)
     checks = {
         "kernel symmetric (K)": probe.symmetric_K,

@@ -16,7 +16,6 @@ from .state import (AprioriBoundError, DiscreteState, MomentSeries,
 
 DEFAULT_EPSILON_LADDER = (0.05, 0.01, 0.005)
 DEFAULT_SNAPSHOT_TIMES = (1.0, 2.5)
-DEFAULT_LAMBDA_LIST = (0.0, 0.5, 0.75, 1.0)
 
 
 @dataclass
@@ -29,7 +28,6 @@ class RunConfig:
     snapshot_times: tuple = DEFAULT_SNAPSHOT_TIMES
     M: float = 3.0
     lam: float | None = None
-    lambda_list: tuple = DEFAULT_LAMBDA_LIST
     kernel: KernelSpec | None = None
     rtol: float = 1e-6
     atol: float = 1e-10

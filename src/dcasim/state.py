@@ -98,7 +98,7 @@ def _integrate_cells(f, a: np.ndarray, b: np.ndarray, panels: int) -> np.ndarray
     nodes = a[:, None] + (b - a)[:, None] * frac[None, :]
     vals = f(nodes)
     if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("non-finite values while integrating initial data")
+        raise FloatingPointError("non-finite integrand values in composite Simpson")
     return h * (vals @ w)
 
 

@@ -6,7 +6,10 @@ directly from the kernel closed forms, a direct weak-form double loop, and a
 fixed-step classical RK4 reference integrator.  The two RHS evaluations the
 package used before its separable-factor path are kept as references too:
 the O(m^2) row-cumulative sums over the dense matrices, and the O(m)
-prefix-sum formula for constant kernels.
+prefix-sum formula for constant kernels.  The scalar relative-L1 error
+measurement the package used before its vectorised one is kept as well: one
+closed-form call per probe and per Simpson node, and a ``brentq`` solve per
+sign change.
 """
 
 from __future__ import annotations
@@ -15,9 +18,14 @@ import math
 
 import numpy as np
 
+from scipy.optimize import brentq
+
+from dcasim.analysis import ErrorReport
+from dcasim.exact import ExactCase, breakpoints, exact_solution
 from dcasim.grid import Grid
 from dcasim.kernels import DiscreteKernel, KernelSpec
 from dcasim.rhs import rhs_vector
+from dcasim.state import StepFunction
 
 
 def kernel_value(spec: KernelSpec, which: str, x: float, y: float) -> float:
@@ -169,6 +177,65 @@ def rk4_reference(c0: np.ndarray, dk: DiscreteKernel, t_end: float, h: float) ->
         k4 = rhs_vector(c + h * k3, dk)
         c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return c
+
+
+def _simpson(f, a: float, b: float, panels: int) -> float:
+    xs = np.linspace(a, b, panels + 1)
+    w = np.ones(panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return (b - a) / (3.0 * panels) * float(w @ f(xs))
+
+
+def _split_points(f, a: float, b: float, probes: int = 8) -> list[float]:
+    """Roots of f inside (a, b), located by brentq between sampled nodes."""
+    xs = np.linspace(a, b, probes + 1)
+    vals = np.array([f(x) for x in xs])
+    roots = []
+    for lo, hi, vlo, vhi in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
+        if vlo == 0.0 or vlo * vhi >= 0.0:
+            continue
+        roots.append(float(brentq(f, lo, hi, xtol=1e-10)))
+    return roots
+
+
+def _abs_integral(f_exact, value: float, a: float, b: float,
+                  hard_breaks: tuple[float, ...], panels: int) -> float:
+    """Integral of |f_exact - value| over [a, b], split at breaks and roots."""
+    diff = lambda x: f_exact(x) - value
+    cuts = sorted([a, b] + [p for p in hard_breaks if a < p < b])
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        pieces = [lo] + _split_points(diff, lo, hi) + [hi]
+        for p, q in zip(pieces[:-1], pieces[1:]):
+            if q > p:
+                total += abs(_simpson(np.vectorize(diff, otypes=[float]), p, q, panels))
+    return total
+
+
+def scalar_rel_l1_error(sf: StepFunction, case: ExactCase, t: float,
+                        panels: int = 8) -> ErrorReport:
+    """Relative L1 error, segment by segment with scalar closed-form calls."""
+    grid = sf.grid
+    f_ex_vec = lambda xs: exact_solution(case, t, xs)
+    f_ex = lambda x: float(exact_solution(case, t, float(x)))
+    hard = breakpoints(case, t)
+
+    segments = [(0.0, grid.lower, 0.0)]
+    segments += [(float(a), float(b), float(v)) for a, b, v
+                 in zip(grid.left_edges(), grid.right_edges(), sf.values)]
+    if grid.x_max > grid.upper:
+        segments.append((grid.upper, grid.x_max, 0.0))
+
+    numerator = 0.0
+    denominator = 0.0
+    for a, b, v in segments:
+        numerator += _abs_integral(f_ex, v, a, b, hard, panels)
+        cuts = sorted([a, b] + [p for p in hard if a < p < b])
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            denominator += _simpson(f_ex_vec, lo, hi, panels)
+    return ErrorReport(epsilon=grid.epsilon, t=t, E1=numerator / denominator,
+                       numerator=numerator, denominator=denominator)
 
 
 def small_grid(epsilon: float, m: int) -> Grid:

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+import dcasim.analysis
 from dcasim.analysis import (ConvergenceTable, estimate_order,
                              moment_diagnostics, rel_l1_error)
-from dcasim.exact import ExactCase
+from dcasim.exact import ExactCase, exact_solution
 from dcasim.grid import build_grid
 from dcasim.kernels import KernelSpec
+from dcasim.runs import RunConfig, run_simulation
 from dcasim.state import (DiscreteState, MomentSeries, StepFunction,
                           project_initial, reconstruct)
+
+from oracle import scalar_rel_l1_error
 
 
 def test_zero_step_function_error_is_one():
@@ -45,6 +49,53 @@ def test_error_handles_discontinuous_reference():
     # one quadrature node lands exactly on the jump, worth O(eps/panels)
     assert rep.denominator == pytest.approx(2.0, rel=1e-3)
     assert rep.E1 < 2.0 * g.epsilon
+
+
+def _assert_matches_oracle(sf, case, t):
+    rep = rel_l1_error(sf, case, t)
+    ref = scalar_rel_l1_error(sf, case, t)
+    for name in ("E1", "numerator", "denominator"):
+        assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-10, abs=0.0), name
+
+
+@pytest.mark.parametrize("x_max", [10.0, 20.0])
+@pytest.mark.parametrize("epsilon", [0.05, 0.01])
+@pytest.mark.parametrize("case_id", ["case1", "case3"])
+def test_error_matches_scalar_oracle_on_runs(case_id, epsilon, x_max):
+    run = run_simulation(RunConfig(case=case_id, x_max=x_max), epsilon=epsilon)
+    for st in run.snapshots:
+        _assert_matches_oracle(reconstruct(st), ExactCase(case_id), st.t)
+
+
+def test_error_root_at_jump_on_breakpoint_matches_oracle():
+    # the case3 jump at M(1+t) = 6 is a breakpoint and the centre of a cell
+    # holding a value between the two sides, so the difference changes sign
+    # right at the piece's left end; the root must be that end, exactly
+    case = ExactCase("case3")
+    g = build_grid(0.05, 10.0)
+    st, _ = project_initial(lambda x: exact_solution(case, 1.0, x), g)
+    sf = reconstruct(st)
+    assert 0.0 < sf(6.0) < exact_solution(case, 1.0, 6.0)
+    _assert_matches_oracle(sf, case, 1.0)
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.005])
+def test_error_makes_few_exact_solution_calls(epsilon, monkeypatch):
+    # the work is a handful of array passes, not one call per cell or probe
+    calls = []
+
+    def counted(case, t, x):
+        calls.append(np.shape(x))
+        return exact_solution(case, t, x)
+
+    monkeypatch.setattr(dcasim.analysis, "exact_solution", counted)
+    case = ExactCase("case1")
+    g = build_grid(epsilon, 10.0)
+    st, _ = project_initial(lambda x: exact_solution(case, 1.0, x) * (1.0 + 0.1 * np.sin(x)), g)
+    rep = rel_l1_error(reconstruct(st), case, 1.0)
+    assert 0.0 < rep.E1 < 1.0
+    assert 0 < len(calls) <= 64
+    assert () not in calls   # no scalar evaluation
 
 
 def test_estimate_order_exact_power_laws():

@@ -77,6 +77,12 @@ def test_unknown_config_key_is_config_error(tmp_path):
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
 
 
+def test_lambda_list_is_unknown_config_key(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {**FAST_YAML, "lambda_list": [0.0, 0.5]})
+    assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+    assert "unknown config keys: lambda_list" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     missing = str(tmp_path / "nope.yaml")
     assert main(["simulate", "--config", missing]) == EXIT_CONFIG
@@ -145,6 +151,11 @@ def test_validate_flags_product_kernel(tmp_path, capsys):
     # the hard identities still hold for the product kernel
     assert "PASS  fast RHS matches direct summation" in out
     assert "PASS  weighted-sum boundary identity" in out
+
+
+def test_validate_custom_case_without_kernel_is_config_error(capsys):
+    assert main(["validate", "--case", "custom"]) == EXIT_CONFIG
+    assert "custom case requires an explicit kernel block" in capsys.readouterr().err
 
 
 def test_repeat_simulate_is_byte_identical(tmp_path):
