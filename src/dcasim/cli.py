@@ -135,7 +135,7 @@ def cmd_sweep(args) -> int:
     for eps, msg in result.failures.items():
         print(f"epsilon={eps} failed: {msg}", file=sys.stderr)
     if result.failures and not result.runs:
-        return EXIT_INTEGRATOR
+        raise IntegrationError(f"all {len(result.failures)} epsilon values failed")
     return EXIT_OK
 
 

@@ -55,24 +55,46 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class DiscreteKernel:
-    """Discretized kernel matrices on a grid, dense and in separable form.
+    """Discretized kernel pair on a grid, held in separable form (O(m) data).
 
-    ``Kd[i-1, j-1]`` stores the value at cell pair (i, j); under the point rule
-    that is ``eps * K(eps*i, eps*j)``, so the factor ``eps`` is carried by the
-    matrix and the RHS applies no second one.  ``K_factors`` holds pairs
-    ``(a_r, key_r)`` with ``Kd[i, j] = sum_r a_r[i] * columns[key_r][j]``
-    (``a_r`` a scalar or a vector; a ``None`` column is all ones), likewise
-    ``C_factors`` for ``Cd``; exact under both rules, as cell-averaging a
-    bilinear kernel gives its centre value.  The O(m) RHS reads the factors.
+    ``K_factors`` holds pairs ``(a_r, key_r)`` with
+    ``Kd[i, j] = sum_r a_r[i] * columns[key_r][j]`` (``a_r`` a scalar or a
+    vector; a ``None`` column is all ones), likewise ``C_factors`` for ``Cd``.
+    The factors carry the grid factor eps, so the RHS applies no second one.
+    The O(m) RHS and defect rate read only the factors.
     """
 
     grid: Grid
-    Kd: np.ndarray
-    Cd: np.ndarray
-    rule: str
+    spec: KernelSpec
     K_factors: tuple
     C_factors: tuple
     columns: dict
+
+    @property
+    def Kd(self) -> np.ndarray:
+        """Dense ``Kd[i-1, j-1] = eps * K(eps*i, eps*j)``, built on every access.
+
+        O(m^2) time and memory, and deliberately not cached: meant for
+        ``weak_form_rate``, the ``validate`` self-check at small m, and tests.
+        """
+        return self._dense(self.spec.family_K, self.spec.K_value)
+
+    @property
+    def Cd(self) -> np.ndarray:
+        """Dense ``Cd[i-1, j-1] = eps * C(eps*i, eps*j)``; see ``Kd``."""
+        spec = self.spec
+        if spec.lam is not None:
+            return self._dense(spec.family_K, spec.K_value, spec.lam)
+        return self._dense(spec.family_C, spec.C_value)
+
+    def _dense(self, family: str, value: float, lam: float | None = None) -> np.ndarray:
+        # eps * (lam * K(x_i, x_j)), scaled in place: one m x m allocation
+        xs = self.grid.centers()
+        out = _eval_family(family, value, xs[:, None], xs[None, :])
+        if lam is not None:
+            out *= lam
+        out *= self.grid.epsilon
+        return out
 
 
 @dataclass
@@ -127,50 +149,8 @@ def eval_C(spec: KernelSpec, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _point_matrix(evaluate, grid: Grid) -> np.ndarray:
-    xs = grid.centers()
-    return grid.epsilon * evaluate(xs[:, None], xs[None, :])
-
-
-def _cell_average_matrix(evaluate, grid: Grid, q: int) -> np.ndarray:
-    # Gauss-Legendre tensor rule per cell pair, normalized by 1/eps as in the
-    # averaged definition; O(m^2 q^2) work, done in row blocks to bound memory.
-    nodes, weights = np.polynomial.legendre.leggauss(q)
-    half = 0.5 * grid.epsilon
-    pts = grid.centers()[:, None] + half * nodes[None, :]      # (m, q)
-    w = 0.5 * weights                                          # sums to 1
-    m = grid.m
-    out = np.empty((m, m))
-    block = max(1, 2_000_000 // (m * q * q))
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        vals = evaluate(pts[start:stop, :, None, None], pts[None, None, :, :])
-        out[start:stop] = np.einsum("a,iajb,b->ij", w, vals, w)
-    return grid.epsilon * out
-
-
-def discretize(spec: KernelSpec, grid: Grid, rule: str = "point", quad_points: int = 4) -> DiscreteKernel:
-    """Fill the kernel matrices and their separable factors (s = eps) for K and C.
-
-    ``rule`` is ``point`` (default: ``eps * K(eps*i, eps*j)``) or
-    ``cell_average`` (tensor Gauss quadrature with ``quad_points`` nodes per
-    axis, normalized by ``1/eps``).
-    """
-    if rule not in ("point", "cell_average"):
-        raise ValueError(f"unknown discretization rule {rule!r}")
-    evK = lambda x, y: _eval_family(spec.family_K, spec.K_value, x, y)
-    if spec.lam is not None:
-        lam = spec.lam
-        evC = lambda x, y: lam * _eval_family(spec.family_K, spec.K_value, x, y)
-    else:
-        evC = lambda x, y: _eval_family(spec.family_C, spec.C_value, x, y)
-    if rule == "point":
-        Kd = _point_matrix(evK, grid)
-        Cd = _point_matrix(evC, grid)
-    else:
-        Kd = _cell_average_matrix(evK, grid, quad_points)
-        Cd = _cell_average_matrix(evC, grid, quad_points)
-
+def discretize(spec: KernelSpec, grid: Grid) -> DiscreteKernel:
+    """Separable factors (s = eps) of the point rule ``eps * K(eps*i, eps*j)``, K and C."""
     xs = grid.centers()
     K_factors = _FACTORS[spec.family_K](grid.epsilon, spec.K_value, xs)
     if spec.lam is not None:
@@ -178,7 +158,7 @@ def discretize(spec: KernelSpec, grid: Grid, rule: str = "point", quad_points: i
     else:
         C_factors = _FACTORS[spec.family_C](grid.epsilon, spec.C_value, xs)
     columns = {key: None if key == "1" else xs for _, key in K_factors + C_factors}
-    return DiscreteKernel(grid=grid, Kd=Kd, Cd=Cd, rule=rule, K_factors=K_factors,
+    return DiscreteKernel(grid=grid, spec=spec, K_factors=K_factors,
                           C_factors=C_factors, columns=columns)
 
 

@@ -12,9 +12,8 @@ with the four per-row sums
     G_i = sum_{j>=i} j * Cd[i,j] * c_j      (inverse-aggregation growth)
     Z_i = sum_{j<=i}     Cd[i,j] * c_j      (depletion by smaller partners)
 
-The stored matrices already carry the factor eps (``Kd = eps * K(eps i, eps j)``
-under the point rule) so no outer eps is applied here; a unit test pins this
-convention.  Every kernel is evaluated through its separable factors
+The matrices carry the factor eps (``Kd = eps * K(eps i, eps j)``, the point
+rule) so no outer eps is applied here; a unit test pins this convention.  Every kernel is evaluated through its separable factors
 ``Kd[i,j] = sum_r a_r[i] * b_r[j]`` (``DiscreteKernel``): each sum is then a
 combination of prefix sums (suffix sums as ``total - prefix + own term``) of
 ``b*j*c`` and ``b*c``, two cumulative sums per distinct ``b``, so one

@@ -99,7 +99,6 @@ class SimulationRun:
             "kernel_K_value": self.spec.K_value,
             "kernel_lambda": self.spec.lam,
             "kernel_C": None if self.spec.lam is not None else self.spec.family_C,
-            "rule": self.dk.rule,
             "rtol": self.config.rtol,
             "atol": self.config.atol,
             "projection_dust": self.projection_loss.dust,

@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from dcasim.analysis import ErrorReport
 from dcasim.exact import ExactCase, breakpoints, exact_solution
 from dcasim.grid import Grid
-from dcasim.kernels import DiscreteKernel, KernelSpec
+from dcasim.kernels import FAMILIES, DiscreteKernel, KernelSpec
 from dcasim.rhs import rhs_vector
 from dcasim.state import StepFunction
 
@@ -251,6 +251,13 @@ def random_instance(rng: np.random.Generator, specs):
     c = rng.random(m) * float(rng.choice([1.0, 10.0]))
     return spec, epsilon, m, c
 
+
+# every K family, with C tied by lam and with each own C family
+FAMILY_PAIRS = tuple(
+    spec for fam in FAMILIES for spec in (
+        KernelSpec(family_K=fam, K_value=2.5, lam=0.5),
+        *(KernelSpec(family_K=fam, K_value=2.5, lam=None, family_C=fam_C, C_value=0.7)
+          for fam_C in FAMILIES)))
 
 ORACLE_KERNELS = (
     KernelSpec(family_K="constant", K_value=1.0, lam=None,

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -163,3 +167,17 @@ def test_diagnostics_riccati_denominator_mask():
 def test_diagnostics_empty_series_rejected():
     with pytest.raises(ValueError):
         moment_diagnostics(MomentSeries(), KernelSpec(), 0.1)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize loads only when dcasim.analysis.brentq is first read,
+    # and the name is then bound in the module namespace
+    code = ("import sys, dcasim.cli\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "import dcasim.analysis, scipy.optimize\n"
+            "assert dcasim.analysis.brentq is scipy.optimize.brentq\n"
+            "assert vars(dcasim.analysis)['brentq'] is scipy.optimize.brentq\n")
+    src = os.path.dirname(os.path.dirname(dcasim.analysis.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)

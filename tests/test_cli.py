@@ -5,7 +5,9 @@ import pytest
 import yaml
 
 import dcasim.cli
-from dcasim.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+import dcasim.runs
+from dcasim.cli import EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK, EXIT_VALIDATION, main
+from dcasim.integrator import IntegrationError
 from dcasim.output import body_of, snapshot_filename
 from dcasim.state import AprioriBoundError
 
@@ -109,6 +111,31 @@ def test_apriori_bound_violation_is_validation_failure(tmp_path, monkeypatch, ca
     cfg = _write_config(tmp_path, FAST_YAML)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert "a-priori density bounds violated" in capsys.readouterr().err
+
+
+def _underflow(cfg, epsilon=None):
+    raise IntegrationError("step size underflow at t=0.5")
+
+
+def test_simulate_integrator_failure_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dcasim.cli, "run_simulation", _underflow)
+    cfg = _write_config(tmp_path, FAST_YAML)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_INTEGRATOR
+    err = capsys.readouterr().err
+    assert "integrator failure: step size underflow at t=0.5" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_all_epsilons_failing_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dcasim.runs, "run_simulation", _underflow)
+    cfg = _write_config(tmp_path, {
+        "case": "case1", "epsilon_list": [0.2, 0.1],
+        "t_max": 1.0, "snapshot_times": [1.0]})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == EXIT_INTEGRATOR
+    err = capsys.readouterr().err
+    assert "epsilon=0.1 failed: IntegrationError: step size underflow" in err
+    assert "integrator failure: all 2 epsilon values failed" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_writes_error_tables(tmp_path):

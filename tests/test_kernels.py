@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dcasim.grid import build_grid
 from dcasim.kernels import (FAMILIES, KernelSpec, discretize, eval_C, eval_K,
                             probe_hypotheses)
+
+from oracle import FAMILY_PAIRS, small_grid
 
 
 def test_constant_kernel_values():
@@ -72,15 +76,11 @@ def test_point_rule_product_entry():
     assert a[1] * dk.columns[key][2] == pytest.approx(0.1 * (0.2 * 0.3))
 
 
-@pytest.mark.parametrize("rule", ["point", "cell_average"])
-def test_factors_reproduce_dense_matrices(rule):
+def test_factors_reproduce_dense_matrices():
     g = build_grid(0.1, 2.0)
-    specs = [KernelSpec(family_K=fam, K_value=2.0, lam=0.75) for fam in FAMILIES]
-    specs += [KernelSpec(family_K=fam, lam=None, family_C=fam_C, C_value=0.5)
-              for fam in FAMILIES for fam_C in FAMILIES]
     ones = np.ones(g.m)
-    for spec in specs:
-        dk = discretize(spec, g, rule=rule)
+    for spec in FAMILY_PAIRS:
+        dk = discretize(spec, g)
         for factors, dense in ((dk.K_factors, dk.Kd), (dk.C_factors, dk.Cd)):
             rebuilt = sum(np.outer(np.broadcast_to(a, g.m),
                                    ones if dk.columns[key] is None else dk.columns[key])
@@ -96,27 +96,49 @@ def test_discretized_matrices_symmetric():
         np.testing.assert_array_equal(dk.Cd, dk.Cd.T)
 
 
-def test_cell_average_matches_point_for_constant():
-    g = build_grid(0.1, 2.0)
-    spec = KernelSpec(family_K="constant", K_value=1.0, lam=1.0)
-    pt = discretize(spec, g, rule="point")
-    avg = discretize(spec, g, rule="cell_average")
-    np.testing.assert_allclose(avg.Kd, pt.Kd, rtol=1e-13)
+def test_dense_matrices_equal_closed_form():
+    # the on-demand matrices are the point rule eps * K(x_i, x_j), bit for bit
+    g = build_grid(0.07, 3.0)
+    x = g.centers()
+    for spec in FAMILY_PAIRS:
+        dk = discretize(spec, g)
+        np.testing.assert_array_equal(dk.Kd, g.epsilon * eval_K(spec, x[:, None], x[None, :]))
+        np.testing.assert_array_equal(dk.Cd, g.epsilon * eval_C(spec, x[:, None], x[None, :]))
 
 
-def test_cell_average_close_to_point_for_smooth_kernel():
-    g = build_grid(0.1, 2.0)
-    spec = KernelSpec(family_K="sum", family_C="sum")
-    pt = discretize(spec, g, rule="point")
-    avg = discretize(spec, g, rule="cell_average")
-    # the sum kernel is linear, so cell averaging reproduces the center value
-    np.testing.assert_allclose(avg.Kd, pt.Kd, rtol=1e-12)
+def test_dense_matrices_not_stored():
+    dk = discretize(KernelSpec(family_K="sum", family_C="product"), build_grid(0.1, 2.0))
+    assert dk.Kd is not dk.Kd
+    with pytest.raises(AttributeError):
+        dk.Kd = np.zeros((dk.grid.m, dk.grid.m))
 
 
-def test_unknown_rule_rejected():
-    g = build_grid(0.1, 2.0)
-    with pytest.raises(ValueError):
-        discretize(KernelSpec(), g, rule="midpoint")
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_discretize_memory_linear_in_m(family):
+    # no m x m array: at m = 4000 one such array alone is 128 MB
+    g = small_grid(0.0025, 4000)
+    spec = KernelSpec(family_K=family, family_C=family)
+    assert _traced_peak(lambda: discretize(spec, g)) < 1_000_000
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dense_access_allocates_one_matrix(family):
+    g = build_grid(0.01, 10.0)
+    m = g.m
+    for spec in (KernelSpec(family_K=family, lam=0.5),
+                 KernelSpec(family_K="constant", family_C=family)):
+        dk = discretize(spec, g)
+        assert _traced_peak(lambda: dk.Kd) < 1.1 * 8 * m * m
+        assert _traced_peak(lambda: dk.Cd) < 1.1 * 8 * m * m
 
 
 def test_probe_constant_kernels_pass():

@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dcasim.kernels import FAMILIES, KernelSpec, discretize
+from dcasim.kernels import KernelSpec, discretize
 from dcasim.rhs import eval_rhs, mass_defect_rate, rhs_vector, weak_form_rate
 from dcasim.state import DiscreteState
 
-from oracle import (ORACLE_KERNELS, constant_mass_defect_rate, constant_sums,
-                    dense_mass_defect_rate, dense_sums, naive_rhs,
+from oracle import (FAMILY_PAIRS, ORACLE_KERNELS, constant_mass_defect_rate,
+                    constant_sums, dense_mass_defect_rate, dense_sums, naive_rhs,
                     naive_weak_form, rhs_from_sums, small_grid)
 
 
@@ -37,22 +37,12 @@ def test_eval_rhs_grid_mismatch():
         eval_rhs(other, dk)
 
 
-def _factor_specs():
-    # every K family, with C tied by lam and with each own C family
-    for fam in FAMILIES:
-        yield KernelSpec(family_K=fam, K_value=2.5, lam=0.5)
-        for fam_C in FAMILIES:
-            yield KernelSpec(family_K=fam, K_value=2.5, lam=None,
-                             family_C=fam_C, C_value=0.7)
-
-
-@pytest.mark.parametrize("rule", ["point", "cell_average"])
-def test_factor_path_matches_dense_reference(rule):
+def test_factor_path_matches_dense_reference():
     rng = np.random.default_rng(7)
-    for spec in _factor_specs():
+    for spec in FAMILY_PAIRS:
         for m in (2, 5, 17, 64):
             eps = float(rng.uniform(0.05, 0.4))
-            dk = discretize(spec, small_grid(eps, m), rule=rule)
+            dk = discretize(spec, small_grid(eps, m))
             c = rng.random(m)
             ref = rhs_from_sums(c, *dense_sums(c, dk.Kd, dk.Cd))
             err = np.max(np.abs(rhs_vector(c, dk) - ref))

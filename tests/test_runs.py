@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,13 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     with pytest.raises(TypeError):
         run_sweep(RunConfig(case="case1", epsilon_list=(0.2, 0.1), t_max=1.0,
                             snapshot_times=(1.0,)))
+
+
+def test_run_pickles_without_dense_matrices():
+    # what a sweep worker sends back to the parent: O(m), not the 64 MB of
+    # two m = 1999 kernel matrices
+    run = run_simulation(RunConfig(case="case1"), epsilon=0.005)
+    assert len(pickle.dumps(run)) < 1_000_000
 
 
 def test_sweep_threads_match_serial():
