@@ -12,18 +12,19 @@ Exit codes: 0 success, 2 configuration error, 3 integrator failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
 import yaml
 
+from .exact import CASE_IDS
+from .grid import build_grid
 from .integrator import IntegrationError
 from .kernels import KernelSpec, discretize, probe_hypotheses
-from .grid import build_grid
-from .output import (body_of, ensure_dir, snapshot_filename,  # noqa: F401
-                     write_error_table_csv, write_moments_csv,
-                     write_snapshot_csv)
+from .output import (ensure_dir, snapshot_filename, write_error_table_csv,
+                     write_moments_csv, write_snapshot_csv)
 from .rhs import mass_defect_rate, rhs_vector
 from .runs import RunConfig, kernel_for_case, run_simulation, run_sweep
 from .state import AprioriBoundError
@@ -34,26 +35,47 @@ EXIT_INTEGRATOR = 3
 EXIT_VALIDATION = 4
 
 
+# flag -> (RunConfig field it overrides, argparse options)
+_FLAGS = {
+    "--epsilon": ("epsilon", {"type": float}),
+    "--case": ("case", {"choices": CASE_IDS + ("custom",)}),
+    "--lambda": ("lam", {"type": float}),
+    "--out": ("output_dir", {"help": "output directory"}),
+    "--rtol": ("rtol", {"type": float}),
+    "--atol": ("atol", {"type": float}),
+    "--threads": ("threads", {"type": int}),
+}
+
+
 class ConfigError(ValueError):
     pass
 
 
 def _load_config(args) -> RunConfig:
-    raw = {}
+    """YAML keys are ``RunConfig`` fields, flags override them, ``RunConfig`` validates."""
+    fields = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                raw = yaml.safe_load(fh) or {}
+                fields = yaml.safe_load(fh) or {}
         except (OSError, yaml.YAMLError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(raw, dict):
+        if not isinstance(fields, dict):
             raise ConfigError(f"config {args.config}: top level must be a mapping")
+    unknown = set(fields) - {f.name for f in dataclasses.fields(RunConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(map(str, unknown)))}")
 
-    kb = raw.pop("kernel", None)
-    kernel = None
+    for name, _ in _FLAGS.values():
+        if getattr(args, name) is not None:
+            fields[name] = getattr(args, name)
+    kb = fields.get("kernel")
     if kb is not None:
         try:
-            kernel = KernelSpec(
+            extra = set(kb) - {"K", "L", "lambda", "C", "C_value", "declared_bounds"}
+            if extra:
+                raise ValueError(f"unknown keys {', '.join(sorted(map(str, extra)))}")
+            fields["kernel"] = KernelSpec(
                 family_K=kb.get("K", "constant"),
                 K_value=float(kb.get("L", 1.0)),
                 lam=None if kb.get("lambda") is None else float(kb["lambda"]),
@@ -61,38 +83,14 @@ def _load_config(args) -> RunConfig:
                 C_value=float(kb.get("C_value", 1.0)),
                 declared_bounds={k: float(v) for k, v in (kb.get("declared_bounds") or {}).items()},
             )
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"config key 'kernel': {exc}") from exc
-
-    fields = {}
-    for key in ("case", "epsilon", "epsilon_list", "x_max", "t_max",
-                "snapshot_times", "M", "lam", "rtol", "atol",
-                "negativity_policy", "output_dir", "threads"):
-        if key in raw:
-            fields[key] = raw.pop(key)
-    if raw:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(raw))}")
-
-    # flag overrides
-    if args.epsilon is not None:
-        fields["epsilon"] = args.epsilon
-    if args.case is not None:
-        fields["case"] = args.case
-    if getattr(args, "lam", None) is not None:
-        fields["lam"] = args.lam
-    if args.out is not None:
-        fields["output_dir"] = args.out
-    if args.rtol is not None:
-        fields["rtol"] = args.rtol
-    if args.atol is not None:
-        fields["atol"] = args.atol
-    if args.threads is not None:
-        fields["threads"] = args.threads
-
     for key in ("epsilon_list", "snapshot_times"):
-        if key in fields:
-            fields[key] = tuple(float(v) for v in fields[key])
-    fields["kernel"] = kernel
+        try:
+            if key in fields:
+                fields[key] = tuple(float(v) for v in fields[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r} must be a list of numbers") from exc
     try:
         return RunConfig(**fields)
     except (TypeError, ValueError) as exc:
@@ -165,10 +163,7 @@ def _naive_rhs_small(c, Kd, Cd):
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
-    try:
-        spec = cfg.kernel if cfg.kernel is not None else kernel_for_case(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = kernel_for_case(cfg)
     probe = probe_hypotheses(spec)
     checks = {
         "kernel symmetric (K)": probe.symmetric_K,
@@ -215,13 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                      ("validate", cmd_validate)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML config file")
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--case", choices=("case1", "case2", "case3", "custom"), default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--rtol", type=float, default=None)
-        p.add_argument("--atol", type=float, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        for flag, (name, options) in _FLAGS.items():
+            p.add_argument(flag, dest=name, default=None, **options)
         p.set_defaults(func=fn)
     return parser
 

@@ -17,7 +17,6 @@ from .rhs import mass_defect_rate, rhs_vector
 from .state import DiscreteState
 
 # Dormand-Prince 5(4) tableau (FSAL: the last stage is the next step's first).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     [],
     [1 / 5],
@@ -45,8 +44,6 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     rtol: float = 1e-6
     atol: float = 1e-10
-    h_init: float | None = None
-    h_max: float | None = None
     safety: float = 0.9
     max_steps: int = 1_000_000
     negativity_policy: str = "clamp_tiny"
@@ -113,9 +110,8 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
             stats.defect_integrals.append(0.0)
         return snapshots, stats
 
-    h_max = cfg.h_max if cfg.h_max is not None else span / 10.0
-    h = cfg.h_init if cfg.h_init is not None else 1e-4 * span
-    h = min(h, h_max)
+    h_max = span / 10.0
+    h = 1e-4 * span
 
     k = np.empty((7, y.size))
     stages = np.empty((6, y.size))   # stage states 1..6, reused by the defect quadrature

@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import DiscreteKernel
-from .state import DiscreteState
 
 
 def _combine(factors, sums):
@@ -55,14 +54,7 @@ def rhs_vector(c: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
     return Q
 
 
-def eval_rhs(state: DiscreteState, dk: DiscreteKernel) -> np.ndarray:
-    """Evaluate the system right-hand side for a state on the same grid."""
-    if state.grid is not dk.grid and state.grid != dk.grid:
-        raise ValueError("state and discrete kernel live on different grids")
-    return rhs_vector(state.c, dk)
-
-
-def mass_defect_rate(state_or_c, dk: DiscreteKernel) -> float:
+def mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
     """Exact boundary correction to discrete-mass conservation.
 
     Returns ``D = -(m+1) c_m A_m - m (m+1) Cd[m,m] c_m^2``; the telescoping of
@@ -70,7 +62,6 @@ def mass_defect_rate(state_or_c, dk: DiscreteKernel) -> float:
     kernels, so interior mass is conserved exactly whenever the boundary cell
     is empty.
     """
-    c = state_or_c.c if isinstance(state_or_c, DiscreteState) else np.asarray(state_or_c)
     m = c.size
     if m != dk.grid.m:
         raise ValueError("state and discrete kernel live on different grids")
@@ -84,14 +75,13 @@ def mass_defect_rate(state_or_c, dk: DiscreteKernel) -> float:
     return float(-(m + 1) * cm * A_m - m * (m + 1) * C_mm * cm * cm)
 
 
-def weak_form_rate(state_or_c, dk: DiscreteKernel, phi: np.ndarray) -> float:
+def weak_form_rate(c: np.ndarray, dk: DiscreteKernel, phi: np.ndarray) -> float:
     """Truncated moment-equation right side for a test sequence ``phi``.
 
     ``phi`` needs ``m + 1`` entries since the forward difference
     ``phi_{i+1} - phi_i`` is taken at the last row.  For ``phi_i = i`` the
     bracket ``j * (phi_{i+1} - phi_i) - phi_j`` vanishes identically.
     """
-    c = state_or_c.c if isinstance(state_or_c, DiscreteState) else np.asarray(state_or_c)
     m = c.size
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (m + 1,):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Real
 
 from .analysis import ConvergenceTable, rel_l1_error
 from .exact import ExactCase, has_closed_form, initial_profile
@@ -36,14 +37,26 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if any(not 0.0 < e < 1.0 for e in self.epsilon_list):
-            raise ValueError("epsilon_list values must lie in (0, 1)")
-        if list(self.epsilon_list) != sorted(self.epsilon_list, reverse=True):
+        """Build what a run builds from these settings, so a bad one fails here."""
+        for name in ("epsilon", "x_max", "t_max", "M", "lam", "rtol", "atol"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.threads, int) or self.threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {self.threads!r}")
+        if list(self.epsilon_list) != sorted(set(self.epsilon_list), reverse=True):
             raise ValueError("epsilon_list must be strictly decreasing")
         if any(t < 0.0 or t > self.t_max for t in self.snapshot_times):
             raise ValueError("snapshot times must lie in [0, t_max]")
+        if self.kernel is not None and self.case != "custom":
+            raise ValueError(f"a kernel block needs case 'custom'; "
+                             f"case {self.case!r} runs its own kernel")
+        kernel_for_case(self)
+        exact_case_for(self)
+        self.integrator_config()
+        for eps in (self.epsilon, *self.epsilon_list):
+            if eps is not None:
+                build_grid(eps, self.x_max)
 
     def integrator_config(self) -> IntegratorConfig:
         return IntegratorConfig(rtol=self.rtol, atol=self.atol,

@@ -1,0 +1,42 @@
+"""Module bindings that the benchmark (``perfbench/``) wraps or reads from outside.
+
+Its tracer rebinds a function in every ``dcasim`` module namespace that holds
+it, and its CLI workloads wrap ``dcasim.cli.run_sweep``/``run_simulation`` to
+collect work counts.  A refactor that inlines, fuses or renames one of these
+leaves the traced benchmark counting the wrong thing.  The lazy
+``dcasim.analysis.brentq`` name is pinned in ``test_analysis.py``.
+"""
+
+import numpy as np
+
+import dcasim.cli
+import dcasim.integrator
+import dcasim.rhs
+import dcasim.runs
+from dcasim.integrator import IntegratorConfig, integrate
+from dcasim.kernels import KernelSpec, discretize
+from dcasim.state import DiscreteState
+
+from oracle import small_grid
+
+
+def test_benchmark_bindings(monkeypatch):
+    assert dcasim.integrator.rhs_vector is dcasim.rhs.rhs_vector
+    assert dcasim.integrator.mass_defect_rate is dcasim.rhs.mass_defect_rate
+    # traced rhs_vector calls must equal the integrator's own rhs_evals
+    calls = []
+
+    def counted(c, dk):
+        calls.append(None)
+        return dcasim.rhs.rhs_vector(c, dk)
+
+    monkeypatch.setattr(dcasim.integrator, "rhs_vector", counted)
+    grid = small_grid(0.1, 6)
+    dk = discretize(KernelSpec(lam=1.0), grid)
+    _, stats = integrate(DiscreteState(grid, np.linspace(1.0, 0.1, 6)), dk,
+                         IntegratorConfig(), [0.5])
+    assert len(calls) == stats.rhs_evals > 0
+    # kernels.dense_bytes is read as Kd.nbytes + Cd.nbytes
+    assert dk.Kd.shape == dk.Cd.shape == (6, 6)
+    assert dcasim.cli.run_sweep is dcasim.runs.run_sweep
+    assert dcasim.cli.run_simulation is dcasim.runs.run_simulation

@@ -193,3 +193,37 @@ def test_repeat_simulate_is_byte_identical(tmp_path):
     for name in (snapshot_filename(0.5), snapshot_filename(1.0), "moments.csv"):
         bodies = [body_of(os.path.join(out, name)) for out in outs]
         assert bodies[0] == bodies[1]
+
+
+KERNEL_BLOCK = {"kernel": {"K": "product", "C": "product"}}
+INVALID_SETTINGS = [
+    ("simulate", {"rtol": -1}, "rtol=-1"),
+    ("simulate", {"atol": 0}, "atol=0"),
+    ("simulate", {"rtol": "abc"}, "rtol=abc"),
+    ("simulate", {"negativity_policy": "bogus"}, "policy=bogus"),
+    ("simulate", {"x_max": 0.2, "epsilon": 0.1}, "x_max=0.2"),
+    ("simulate", {"case": "case3", "M": -1}, "case3-M=-1"),
+    ("simulate", {"case": "case2", "lam": 3}, "case2-lam=3"),
+    ("simulate", {"case": "foo"}, "case=foo"),
+    ("sweep", {"rtol": "abc"}, "rtol=abc"),
+    ("validate", {"negativity_policy": "bogus"}, "policy=bogus"),
+    ("simulate", KERNEL_BLOCK, "case1-kernel"),
+    ("sweep", KERNEL_BLOCK, "case1-kernel"),
+    ("validate", KERNEL_BLOCK, "case1-kernel"),
+    ("validate", {"case": "custom", "kernel": {"K": "product", "Lambda": 0.5}},
+     "kernel-unknown-key"),
+    ("sweep", {"epsilon_list": [0.2, 0.2, 0.1]}, "repeated-epsilon"),
+]
+
+
+@pytest.mark.parametrize("command, overrides", [
+    pytest.param(command, overrides, id=f"{command}-{name}")
+    for command, overrides, name in INVALID_SETTINGS])
+def test_invalid_setting_is_config_error(tmp_path, capsys, command, overrides):
+    # every setting is checked when the config loads, before any run starts
+    cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon_list": [0.2, 0.1], **overrides})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out")

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dcasim.kernels import KernelSpec, discretize
-from dcasim.rhs import eval_rhs, mass_defect_rate, rhs_vector, weak_form_rate
-from dcasim.state import DiscreteState
+from dcasim.rhs import mass_defect_rate, rhs_vector, weak_form_rate
 
 from oracle import (FAMILY_PAIRS, ORACLE_KERNELS, constant_mass_defect_rate,
                     constant_sums, dense_mass_defect_rate, dense_sums, naive_rhs,
@@ -28,13 +27,6 @@ def test_hand_computed_two_cell_example():
 def test_zero_state_gives_zero():
     dk = _dk(CONST, 0.1, 5)
     np.testing.assert_array_equal(rhs_vector(np.zeros(5), dk), 0.0)
-
-
-def test_eval_rhs_grid_mismatch():
-    dk = _dk(CONST, 0.1, 5)
-    other = DiscreteState(small_grid(0.1, 4), np.zeros(4))
-    with pytest.raises(ValueError):
-        eval_rhs(other, dk)
 
 
 def test_factor_path_matches_dense_reference():
