@@ -12,6 +12,7 @@ from .state import MomentSeries, StepFunction, _integrate_cells
 
 _ROOT_TOL = 1e-10
 _PROBES = 8  # equispaced sign probes per piece
+_PANELS = 8  # composite-Simpson panels per piece
 
 
 def __getattr__(name):
@@ -93,8 +94,7 @@ def _bisect(diff, lo: np.ndarray, hi: np.ndarray, side: np.ndarray) -> np.ndarra
     return lo
 
 
-def rel_l1_error(sf: StepFunction, case: ExactCase, t: float,
-                 panels: int = 8) -> ErrorReport:
+def rel_l1_error(sf: StepFunction, case: ExactCase, t: float) -> ErrorReport:
     """Relative L1 distance between a step function and the reference solution.
 
     Both norms are taken over [0, x_max]; the step function is zero on the
@@ -109,7 +109,7 @@ def rel_l1_error(sf: StepFunction, case: ExactCase, t: float,
         raise ValueError(f"{case.id} with lambda={case.lam} has no closed form")
     f = lambda x: exact_solution(case, t, x)
     a, b, v = _pieces(sf, breakpoints(case, t))
-    denominator = float(np.sum(_integrate_cells(f, a, b, panels)))
+    denominator = float(np.sum(_integrate_cells(f, a, b, _PANELS)))
     if denominator <= 0.0:
         raise ValueError(f"reference solution has no mass on [0, {sf.grid.x_max}] at t={t}")
 
@@ -131,7 +131,7 @@ def rel_l1_error(sf: StepFunction, case: ExactCase, t: float,
     sub = (row[:-1] == row[1:]) & (x[1:] > x[:-1])
     lo, hi, val = x[:-1][sub], x[1:][sub], v[row[:-1][sub]]
     numerator = float(np.sum(np.abs(
-        _integrate_cells(lambda x: f(x) - val[:, None], lo, hi, panels))))
+        _integrate_cells(lambda x: f(x) - val[:, None], lo, hi, _PANELS))))
     return ErrorReport(epsilon=sf.grid.epsilon, t=t, E1=numerator / denominator,
                        numerator=numerator, denominator=denominator)
 

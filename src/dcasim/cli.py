@@ -26,7 +26,7 @@ from .kernels import KernelSpec, discretize, probe_hypotheses
 from .output import (ensure_dir, snapshot_filename, write_error_table_csv,
                      write_moments_csv, write_snapshot_csv)
 from .rhs import mass_defect_rate, rhs_vector
-from .runs import RunConfig, kernel_for_case, run_simulation, run_sweep
+from .runs import RunConfig, kernel_for_case, run_simulation, run_sweep, sweep_case
 from .state import AprioriBoundError
 
 EXIT_OK = 0
@@ -97,6 +97,14 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _output_dir(path: str) -> str:
+    """Create the output directory; called before any integration starts."""
+    try:
+        return ensure_dir(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     if cfg.epsilon is None:
@@ -104,8 +112,8 @@ def cmd_simulate(args) -> int:
     if cfg.case == "custom":
         raise ConfigError("simulate has no initial profile for case 'custom'; "
                           "initial profiles exist only for case1, case2 and case3")
+    out = _output_dir(cfg.output_dir)
     run = run_simulation(cfg)
-    out = ensure_dir(cfg.output_dir)
     md = run.metadata()
     for st in run.snapshots:
         path = os.path.join(out, snapshot_filename(st.t))
@@ -120,10 +128,11 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     try:
+        sweep_case(cfg)
+        out = _output_dir(cfg.output_dir)
         result = run_sweep(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = ensure_dir(cfg.output_dir)
     md = {"case": cfg.case, "epsilon_list": list(cfg.epsilon_list),
           "x_max": cfg.x_max, "rtol": cfg.rtol, "atol": cfg.atol}
     for t, table in result.tables.items():

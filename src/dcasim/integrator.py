@@ -34,6 +34,7 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 52
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
+_SAFETY = 0.9
 
 
 class IntegrationError(RuntimeError):
@@ -44,17 +45,11 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     rtol: float = 1e-6
     atol: float = 1e-10
-    safety: float = 0.9
     max_steps: int = 1_000_000
-    negativity_policy: str = "clamp_tiny"
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.safety < 1.0:
-            raise ValueError("safety factor must lie in (0, 1)")
-        if self.negativity_policy not in ("clamp_tiny", "reject"):
-            raise ValueError(f"unknown negativity policy {self.negativity_policy!r}")
 
 
 @dataclass
@@ -85,9 +80,9 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
     """Advance ``state0`` and return states at each snapshot time.
 
     ``snapshot_times`` must be strictly increasing with the first entry at or
-    after ``state0.t``.  Raises ``IntegrationError`` on step-size underflow,
-    step-budget exhaustion, or (under the ``reject`` policy) negativity beyond
-    ``10 * atol``.
+    after ``state0.t``.  Raises ``IntegrationError`` on step-size underflow or
+    step-budget exhaustion.  Negative entries of an accepted step are clamped
+    to zero and their mass recorded in ``StepStats.clamped_mass``.
     """
     times = [float(t) for t in snapshot_times]
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -119,7 +114,6 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
     stats.rhs_evals += 1
     defect_int = 0.0
     err_prev = 1.0
-    neg_floor = 10.0 * cfg.atol
 
     queue = list(times)
     # emit snapshots that coincide with the start time
@@ -152,8 +146,7 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
             defect_int += h * float(_B5[:6] @ np.array(defect_stages))
 
             t = t + h
-            y = y_new
-            y, clamped = _apply_negativity_policy(y, cfg, neg_floor, t)
+            y, clamped = _clamp_negative(y_new)
             stats.clamped_mass += clamped * state0.grid.epsilon ** 2
             k[0] = k[6] if clamped == 0.0 else rhs_vector(y, dk)
             if clamped != 0.0:
@@ -168,24 +161,21 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
             if err_norm == 0.0:
                 fac = _FAC_MAX
             else:
-                fac = cfg.safety * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+                fac = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
                 fac = min(_FAC_MAX, max(_FAC_MIN, fac))
             h = h * fac
             err_prev = max(err_norm, 1e-10)
         else:
             stats.rejected += 1
-            fac = max(_FAC_MIN, cfg.safety * err_norm ** (-0.2))
+            fac = max(_FAC_MIN, _SAFETY * err_norm ** (-0.2))
             h = h * fac
 
     return snapshots, stats
 
 
-def _apply_negativity_policy(y, cfg, neg_floor, t):
-    mn = float(np.min(y))
-    if mn >= 0.0:
+def _clamp_negative(y):
+    if float(np.min(y)) >= 0.0:
         return y, 0.0
-    if cfg.negativity_policy == "reject" and mn < -neg_floor:
-        raise IntegrationError(f"negativity {mn} beyond tolerance at t={t}")
     neg = y < 0.0
     i1 = np.arange(1, y.size + 1, dtype=float)
     clamped = float(np.sum(i1[neg] * (-y[neg])))

@@ -22,6 +22,9 @@ _FACTORS = {
 }
 FAMILIES = tuple(_FACTORS)
 
+# Growth probes: x on [0, R], y on [R, Y_MAX] at SAMPLES geometric points.
+_PROBE_R, _PROBE_Y_MAX, _PROBE_SAMPLES = 1.0, 1000.0, 32
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -99,25 +102,16 @@ class DiscreteKernel:
 
 @dataclass
 class HypothesisReport:
-    """Outcome of the numeric growth-condition probes.
-
-    A failing probe is recorded, not raised; probe parameters are kept so the
-    result is reproducible.
-    """
+    """Outcome of the numeric growth-condition probes; a failing probe is recorded, not raised."""
 
     symmetric_K: bool
     symmetric_C: bool
     nonneg_K: bool
     nonneg_C: bool
     ch1_profile: np.ndarray
-    ch1_y: np.ndarray
     ch2_sup: float
-    M_cal: float
     ch1_pass: bool
     ch2_pass: bool
-    R: float
-    y_probe_max: float
-    samples: int
 
 
 def _eval_family(family: str, value: float, x, y):
@@ -162,20 +156,17 @@ def discretize(spec: KernelSpec, grid: Grid) -> DiscreteKernel:
                           C_factors=C_factors, columns=columns)
 
 
-def probe_hypotheses(spec: KernelSpec, R: float = 1.0, y_probe_max: float = 1000.0,
-                     samples: int = 32) -> HypothesisReport:
+def probe_hypotheses(spec: KernelSpec) -> HypothesisReport:
     """Numerically probe the sublinear-growth and boundedness conditions.
 
     The first probe samples ``sup_{x in [0,R]} K(x,y) / y`` at increasing y and
     passes when the profile has dropped below a tenth of its first sample.  The
-    second compares the sampled sup of C on ``[0,R] x [R, y_probe_max]``
-    against the declared bound ``M_cal`` (or the observed sup plus 10% when
-    none is declared, in which case it passes by construction).
+    second compares the sampled sup of C on ``[0,R] x [R, Y_MAX]`` against the
+    declared bound ``M_cal`` (or the observed sup plus 10% when none is
+    declared, in which case it passes by construction).
     """
-    if R < 1.0 or y_probe_max <= R or samples < 8:
-        raise ValueError("need R >= 1, y_probe_max > R and samples >= 8")
-    xs = np.linspace(0.0, R, 201)
-    ys = np.geomspace(R, y_probe_max, samples)
+    xs = np.linspace(0.0, _PROBE_R, 201)
+    ys = np.geomspace(_PROBE_R, _PROBE_Y_MAX, _PROBE_SAMPLES)
     Kvals = eval_K(spec, xs[:, None], ys[None, :])
     profile = np.max(Kvals, axis=0) / ys
     ch1_pass = bool(profile[0] == 0.0 or profile[-1] < 0.1 * profile[0])
@@ -187,19 +178,14 @@ def probe_hypotheses(spec: KernelSpec, R: float = 1.0, y_probe_max: float = 1000
     ch2_pass = bool(ch2_sup <= M_cal * (1.0 + 1e-12))
 
     return HypothesisReport(
-        symmetric_K=_probe_symmetry(lambda a, b: eval_K(spec, a, b), y_probe_max),
-        symmetric_C=_probe_symmetry(lambda a, b: eval_C(spec, a, b), y_probe_max),
+        symmetric_K=_probe_symmetry(lambda a, b: eval_K(spec, a, b), _PROBE_Y_MAX),
+        symmetric_C=_probe_symmetry(lambda a, b: eval_C(spec, a, b), _PROBE_Y_MAX),
         nonneg_K=bool(np.all(Kvals >= 0.0)),
         nonneg_C=bool(np.all(Cvals >= 0.0)),
         ch1_profile=profile,
-        ch1_y=ys,
         ch2_sup=ch2_sup,
-        M_cal=M_cal,
         ch1_pass=ch1_pass,
         ch2_pass=ch2_pass,
-        R=R,
-        y_probe_max=y_probe_max,
-        samples=samples,
     )
 
 

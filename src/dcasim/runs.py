@@ -25,20 +25,18 @@ class RunConfig:
     epsilon: float | None = None
     epsilon_list: tuple = DEFAULT_EPSILON_LADDER
     x_max: float = 10.0
-    t_max: float = 2.5
     snapshot_times: tuple = DEFAULT_SNAPSHOT_TIMES
     M: float = 3.0
     lam: float | None = None
     kernel: KernelSpec | None = None
     rtol: float = 1e-6
     atol: float = 1e-10
-    negativity_policy: str = "clamp_tiny"
     output_dir: str = "out"
     threads: int = 1
 
     def __post_init__(self):
         """Build what a run builds from these settings, so a bad one fails here."""
-        for name in ("epsilon", "x_max", "t_max", "M", "lam", "rtol", "atol"):
+        for name in ("epsilon", "x_max", "M", "lam", "rtol", "atol"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
@@ -46,10 +44,13 @@ class RunConfig:
             raise ValueError(f"threads must be a positive integer, got {self.threads!r}")
         if list(self.epsilon_list) != sorted(set(self.epsilon_list), reverse=True):
             raise ValueError("epsilon_list must be strictly decreasing")
-        if any(t < 0.0 or t > self.t_max for t in self.snapshot_times):
-            raise ValueError("snapshot times must lie in [0, t_max]")
+        if any(t < 0.0 for t in self.snapshot_times):
+            raise ValueError("snapshot times must be nonnegative")
         if self.kernel is not None and self.case != "custom":
             raise ValueError(f"a kernel block needs case 'custom'; "
+                             f"case {self.case!r} runs its own kernel")
+        if self.lam is not None and self.case != "case2":
+            raise ValueError(f"lam applies to case 'case2' only; "
                              f"case {self.case!r} runs its own kernel")
         kernel_for_case(self)
         exact_case_for(self)
@@ -59,8 +60,7 @@ class RunConfig:
                 build_grid(eps, self.x_max)
 
     def integrator_config(self) -> IntegratorConfig:
-        return IntegratorConfig(rtol=self.rtol, atol=self.atol,
-                                negativity_policy=self.negativity_policy)
+        return IntegratorConfig(rtol=self.rtol, atol=self.atol)
 
 
 def kernel_for_case(cfg: RunConfig) -> KernelSpec:
@@ -68,8 +68,7 @@ def kernel_for_case(cfg: RunConfig) -> KernelSpec:
     if cfg.case == "case1":
         return KernelSpec(family_K="constant", K_value=1.0, lam=1.0)
     if cfg.case == "case2":
-        lam = cfg.lam if cfg.lam is not None else 1.0
-        return KernelSpec(family_K="constant", K_value=1.0, lam=lam)
+        return KernelSpec(family_K="constant", K_value=1.0, lam=_case2_lam(cfg))
     if cfg.case == "case3":
         return KernelSpec(family_K="constant", K_value=1.0, lam=0.0)
     if cfg.case == "custom":
@@ -82,8 +81,13 @@ def kernel_for_case(cfg: RunConfig) -> KernelSpec:
 def exact_case_for(cfg: RunConfig) -> ExactCase | None:
     if cfg.case == "custom":
         return None
-    lam = cfg.lam if cfg.case == "case2" else None
+    lam = _case2_lam(cfg) if cfg.case == "case2" else None
     return ExactCase(cfg.case, M=cfg.M, lam=lam)
+
+
+def _case2_lam(cfg: RunConfig) -> float:
+    """Case 2 runs C = lam * K at lam = 1 unless ``lam`` is set."""
+    return cfg.lam if cfg.lam is not None else 1.0
 
 
 @dataclass
@@ -174,14 +178,19 @@ class SweepResult:
     failures: dict = field(default_factory=dict)   # epsilon -> message
 
 
-def run_sweep(cfg: RunConfig) -> SweepResult:
-    """Run the epsilon ladder and tabulate errors against the closed form."""
+def sweep_case(cfg: RunConfig) -> ExactCase:
+    """The closed-form case a sweep of ``cfg`` measures against; ValueError if none."""
     if len(cfg.epsilon_list) < 2:
         raise ValueError("sweep needs at least 2 epsilon values")
     case = exact_case_for(cfg)
     if case is None or not has_closed_form(case):
         raise ValueError("sweep requires a case with a closed-form solution")
+    return case
 
+
+def run_sweep(cfg: RunConfig) -> SweepResult:
+    """Run the epsilon ladder and tabulate errors against the closed form."""
+    case = sweep_case(cfg)
     jobs = [(cfg, eps) for eps in cfg.epsilon_list]
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:

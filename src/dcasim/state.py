@@ -8,8 +8,10 @@ import numpy as np
 
 from .grid import Grid
 
-#: Composite-Simpson panels used per cell when projecting initial data.
-DEFAULT_PANELS = 16
+#: Composite-Simpson panels per cell when projecting initial data, and over
+#: [0, x_max] for the weighted initial norm.
+_PROJECTION_PANELS = 16
+_NORM_PANELS = 4096
 
 
 class AprioriBoundError(RuntimeError):
@@ -28,9 +30,6 @@ class DiscreteState:
         self.c = np.asarray(self.c, dtype=float)
         if self.c.shape != (self.grid.m,):
             raise ValueError(f"expected {self.grid.m} concentrations, got shape {self.c.shape}")
-
-    def copy(self) -> "DiscreteState":
-        return DiscreteState(self.grid, self.c.copy(), self.t)
 
 
 @dataclass
@@ -102,7 +101,7 @@ def _integrate_cells(f, a: np.ndarray, b: np.ndarray, panels: int) -> np.ndarray
     return h * (vals @ w)
 
 
-def project_initial(f_in, grid: Grid, panels: int = DEFAULT_PANELS):
+def project_initial(f_in, grid: Grid):
     """Project a continuous profile onto the grid: ``c_i = (1/eps) int_cell f``.
 
     Returns ``(DiscreteState, ProjectionLoss)``; the loss records the dust and
@@ -111,8 +110,8 @@ def project_initial(f_in, grid: Grid, panels: int = DEFAULT_PANELS):
     """
     left = grid.left_edges()
     right = grid.right_edges()
-    integrals = _integrate_cells(f_in, left, right, panels)
-    c = integrals / grid.epsilon
+    panels = _PROJECTION_PANELS
+    c = _integrate_cells(f_in, left, right, panels) / grid.epsilon
     dust = float(_integrate_cells(f_in, np.array([0.0]), np.array([grid.lower]), panels)[0])
     tail = 0.0
     if grid.x_max > grid.upper:
@@ -140,10 +139,10 @@ def moment(state: DiscreteState, r: float, scaled: bool = True) -> float:
     return state.grid.epsilon ** (r + 1) * s if scaled else s
 
 
-def weighted_initial_norm(f_in, x_max: float, panels: int = 4096) -> float:
+def weighted_initial_norm(f_in, x_max: float) -> float:
     """``int (1 + x) f_in(x) dx`` over [0, x_max], by composite Simpson."""
     g = lambda x: (1.0 + x) * f_in(x)
-    return float(_integrate_cells(g, np.array([0.0]), np.array([x_max]), panels)[0])
+    return float(_integrate_cells(g, np.array([0.0]), np.array([x_max]), _NORM_PANELS)[0])
 
 
 def check_apriori_bounds(state: DiscreteState, initial_norm: float, slack: float = 1e-9):

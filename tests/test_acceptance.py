@@ -209,7 +209,7 @@ def test_criterion_07_number_decay(case1_sweep, case3_sweep, lambda_runs):
 def test_criterion_08_interior_mass_conservation():
     # x_max = 27 keeps the boundary cell empty through t = 2.5 (at the default
     # x_max = 10 the initial profile alone puts ~5e-4 in the boundary cell)
-    cfg = RunConfig(case="case1", epsilon=0.01, x_max=27.0, t_max=2.5,
+    cfg = RunConfig(case="case1", epsilon=0.01, x_max=27.0,
                     snapshot_times=(0.5, 1.0, 1.5, 2.0, 2.5))
     run = run_simulation(cfg)
     boundary = max(st.c[-1] for st in [run.initial] + run.snapshots)
@@ -283,7 +283,7 @@ def test_criterion_11_integrator_cross_validation(lambda_runs):
 def test_criterion_12_determinism(tmp_path):
     import yaml
     cfg = {"case": "case1", "epsilon_list": [0.05, 0.02],
-           "t_max": 1.0, "snapshot_times": [1.0]}
+           "snapshot_times": [1.0]}
     cfg_path = tmp_path / "sweep.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
     bodies = []

@@ -1,4 +1,6 @@
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from dcasim.state import AprioriBoundError
 FAST_YAML = {
     "case": "case1",
     "epsilon": 0.2,
-    "t_max": 1.0,
     "snapshot_times": [0.5, 1.0],
 }
 
@@ -85,6 +86,14 @@ def test_lambda_list_is_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys: lambda_list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("t_max", 2.5), ("negativity_policy", "clamp_tiny")])
+def test_deleted_setting_is_unknown_config_key(tmp_path, capsys, key, value):
+    # a config that still carries a deleted setting is rejected, not ignored
+    cfg = _write_config(tmp_path, {**FAST_YAML, key: value})
+    assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     missing = str(tmp_path / "nope.yaml")
     assert main(["simulate", "--config", missing]) == EXIT_CONFIG
@@ -130,7 +139,7 @@ def test_sweep_all_epsilons_failing_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(dcasim.runs, "run_simulation", _underflow)
     cfg = _write_config(tmp_path, {
         "case": "case1", "epsilon_list": [0.2, 0.1],
-        "t_max": 1.0, "snapshot_times": [1.0]})
+        "snapshot_times": [1.0]})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == EXIT_INTEGRATOR
     err = capsys.readouterr().err
     assert "epsilon=0.1 failed: IntegrationError: step size underflow" in err
@@ -141,7 +150,7 @@ def test_sweep_all_epsilons_failing_exit_code(tmp_path, monkeypatch, capsys):
 def test_sweep_writes_error_tables(tmp_path):
     cfg = _write_config(tmp_path, {
         "case": "case1", "epsilon_list": [0.2, 0.1],
-        "t_max": 1.0, "snapshot_times": [1.0]})
+        "snapshot_times": [1.0]})
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
     body = body_of(os.path.join(out, "errors_t1.csv")).splitlines()
@@ -155,7 +164,7 @@ def test_sweep_writes_error_tables(tmp_path):
 
 def test_sweep_single_epsilon_is_config_error(tmp_path):
     cfg = _write_config(tmp_path, {"case": "case1", "epsilon_list": [0.2],
-                                   "t_max": 1.0, "snapshot_times": [1.0]})
+                                   "snapshot_times": [1.0]})
     assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
 
 
@@ -213,6 +222,8 @@ INVALID_SETTINGS = [
     ("validate", {"case": "custom", "kernel": {"K": "product", "Lambda": 0.5}},
      "kernel-unknown-key"),
     ("sweep", {"epsilon_list": [0.2, 0.2, 0.1]}, "repeated-epsilon"),
+    ("simulate", {"lam": 0.3}, "case1-lam"),
+    ("sweep", {"case": "case3", "lam": 0.3}, "case3-lam"),
 ]
 
 
@@ -227,3 +238,35 @@ def test_invalid_setting_is_config_error(tmp_path, capsys, command, overrides):
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "out")
+
+
+def _no_run(cfg, epsilon=None):
+    raise AssertionError("integration started before the output directory was created")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_uncreatable_output_dir_is_config_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(dcasim.cli, "run_simulation", _no_run)
+    monkeypatch.setattr(dcasim.runs, "run_simulation", _no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon_list": [0.2, 0.1]})
+    assert main([command, "--config", cfg, "--out", str(blocker / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+
+
+def _readme_yaml_blocks():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.S | re.M)
+
+
+def test_readme_yaml_blocks_validate(tmp_path):
+    # the documented configs must load and pass ``validate`` as written
+    blocks = _readme_yaml_blocks()
+    assert blocks
+    for k, block in enumerate(blocks):
+        path = tmp_path / f"readme_{k}.yaml"
+        path.write_text(block)
+        assert main(["validate", "--config", str(path)]) == EXIT_OK, block

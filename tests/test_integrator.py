@@ -19,10 +19,6 @@ def _setup(epsilon=0.1, m=None, x_max=10.0):
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rtol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(safety=1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(negativity_policy="ignore")
 
 
 def test_zero_state_stays_zero():

@@ -9,7 +9,7 @@ from dcasim.kernels import KernelSpec
 from dcasim.runs import (RunConfig, exact_case_for, kernel_for_case,
                          run_simulation, run_sweep)
 
-FAST = dict(epsilon=0.2, t_max=1.0, snapshot_times=(0.5, 1.0))
+FAST = dict(epsilon=0.2, snapshot_times=(0.5, 1.0))
 
 
 def test_config_validation():
@@ -18,7 +18,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(epsilon_list=(0.05, 0.0))        # outside (0, 1)
     with pytest.raises(ValueError):
-        RunConfig(snapshot_times=(3.0,), t_max=2.5)
+        RunConfig(snapshot_times=(-1.0, 1.0))
 
 
 def test_kernel_for_case():
@@ -82,7 +82,7 @@ def test_sweep_needs_closed_form():
 
 
 def test_sweep_tabulates_errors_per_time():
-    cfg = RunConfig(case="case1", epsilon_list=(0.2, 0.1), t_max=1.0,
+    cfg = RunConfig(case="case1", epsilon_list=(0.2, 0.1),
                     snapshot_times=(0.5, 1.0))
     res = run_sweep(cfg)
     assert res.failures == {}
@@ -93,12 +93,20 @@ def test_sweep_tabulates_errors_per_time():
         assert errs[1] < errs[0]        # refinement reduces the error
 
 
+def test_sweep_case2_default_lambda_is_case1():
+    # case 2 with lam unset runs C = K, the case-1 problem, which has a closed form
+    case1, case2 = (run_sweep(RunConfig(case=case, epsilon_list=(0.2, 0.1),
+                                        snapshot_times=(1.0,)))
+                    for case in ("case1", "case2"))
+    assert case2.tables[1.0].rows == case1.tables[1.0].rows
+
+
 def test_sweep_records_integrator_failures(monkeypatch):
     def fail(cfg, epsilon=None):
         raise IntegrationError("step size underflow at t=0.5")
 
     monkeypatch.setattr(dcasim.runs, "run_simulation", fail)
-    res = run_sweep(RunConfig(case="case1", epsilon_list=(0.2, 0.1), t_max=1.0,
+    res = run_sweep(RunConfig(case="case1", epsilon_list=(0.2, 0.1),
                               snapshot_times=(1.0,)))
     assert res.runs == {}
     assert res.failures[0.2] == "IntegrationError: step size underflow at t=0.5"
@@ -110,7 +118,7 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
     monkeypatch.setattr(dcasim.runs, "run_simulation", broken)
     with pytest.raises(TypeError):
-        run_sweep(RunConfig(case="case1", epsilon_list=(0.2, 0.1), t_max=1.0,
+        run_sweep(RunConfig(case="case1", epsilon_list=(0.2, 0.1),
                             snapshot_times=(1.0,)))
 
 
@@ -122,7 +130,7 @@ def test_run_pickles_without_dense_matrices():
 
 
 def test_sweep_threads_match_serial():
-    cfg_base = dict(case="case1", epsilon_list=(0.2, 0.1), t_max=1.0,
+    cfg_base = dict(case="case1", epsilon_list=(0.2, 0.1),
                     snapshot_times=(1.0,))
     serial = run_sweep(RunConfig(threads=1, **cfg_base))
     parallel = run_sweep(RunConfig(threads=2, **cfg_base))
