@@ -7,7 +7,7 @@ from .grid import Grid, build_grid, cell_of, r_eps
 from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate
 from .kernels import (DiscreteKernel, HypothesisReport, KernelSpec, discretize,
                       eval_C, eval_K, probe_hypotheses)
-from .rhs import mass_defect_rate, rhs_vector, weak_form_rate
+from .rhs import mass_defect_rate, rhs_vector
 from .runs import (RunConfig, SimulationRun, SweepResult, kernel_for_case,
                    run_simulation, run_sweep)
 from .state import (DiscreteState, MomentSeries, ProjectionLoss, StepFunction,

@@ -26,7 +26,8 @@ from .kernels import KernelSpec, discretize, probe_hypotheses
 from .output import (ensure_dir, snapshot_filename, write_error_table_csv,
                      write_moments_csv, write_snapshot_csv)
 from .rhs import mass_defect_rate, rhs_vector
-from .runs import RunConfig, kernel_for_case, run_simulation, run_sweep, sweep_case
+from .runs import (RunConfig, config_metadata, kernel_for_case, run_simulation, run_sweep,
+                   sweep_case)
 from .state import AprioriBoundError
 
 EXIT_OK = 0
@@ -38,7 +39,7 @@ EXIT_VALIDATION = 4
 # flag -> (RunConfig field it overrides, argparse options)
 _FLAGS = {
     "--epsilon": ("epsilon", {"type": float}),
-    "--case": ("case", {"choices": CASE_IDS + ("custom",)}),
+    "--case": ("case", {"choices": CASE_IDS}),
     "--lambda": ("lam", {"type": float}),
     "--out": ("output_dir", {"help": "output directory"}),
     "--rtol": ("rtol", {"type": float}),
@@ -109,9 +110,6 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     if cfg.epsilon is None:
         raise ConfigError("simulate requires a single epsilon (config key 'epsilon' or --epsilon)")
-    if cfg.case == "custom":
-        raise ConfigError("simulate has no initial profile for case 'custom'; "
-                          "initial profiles exist only for case1, case2 and case3")
     out = _output_dir(cfg.output_dir)
     run = run_simulation(cfg)
     md = run.metadata()
@@ -133,8 +131,7 @@ def cmd_sweep(args) -> int:
         result = run_sweep(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    md = {"case": cfg.case, "epsilon_list": list(cfg.epsilon_list),
-          "x_max": cfg.x_max, "rtol": cfg.rtol, "atol": cfg.atol}
+    md = config_metadata(cfg, {"epsilon_list": list(cfg.epsilon_list)})
     for t, table in result.tables.items():
         path = os.path.join(out, f"errors_t{t:g}.csv")
         write_error_table_csv(path, table, md, result.failures)

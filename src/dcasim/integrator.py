@@ -92,19 +92,18 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
 
     stats = StepStats()
     snapshots: list[DiscreteState] = []
-    if not times:
-        return snapshots, stats
-
     t = float(state0.t)
     y = state0.c.copy()
-    t_end = times[-1]
-    span = max(t_end - t, 0.0)
-    if span == 0.0:
-        for tq in times:
-            snapshots.append(DiscreteState(state0.grid, y.copy(), tq))
-            stats.defect_integrals.append(0.0)
+    defect_int = 0.0
+    queue = list(times)
+    # emit snapshots that coincide with the start time
+    while queue and abs(queue[0] - t) <= 1e-14 * max(1.0, abs(t)):
+        snapshots.append(DiscreteState(state0.grid, y.copy(), queue.pop(0)))
+        stats.defect_integrals.append(defect_int)
+    if not queue:
         return snapshots, stats
 
+    span = queue[-1] - t
     h_max = span / 10.0
     h = 1e-4 * span
 
@@ -112,14 +111,7 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
     stages = np.empty((6, y.size))   # stage states 1..6, reused by the defect quadrature
     k[0] = rhs_vector(y, dk)
     stats.rhs_evals += 1
-    defect_int = 0.0
     err_prev = 1.0
-
-    queue = list(times)
-    # emit snapshots that coincide with the start time
-    while queue and abs(queue[0] - t) <= 1e-14 * max(1.0, abs(t)):
-        snapshots.append(DiscreteState(state0.grid, y.copy(), queue.pop(0)))
-        stats.defect_integrals.append(defect_int)
 
     steps = 0
     while queue:

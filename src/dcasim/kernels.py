@@ -77,8 +77,8 @@ class DiscreteKernel:
     def Kd(self) -> np.ndarray:
         """Dense ``Kd[i-1, j-1] = eps * K(eps*i, eps*j)``, built on every access.
 
-        O(m^2) time and memory, and deliberately not cached: meant for
-        ``weak_form_rate``, the ``validate`` self-check at small m, and tests.
+        O(m^2) time and memory, and deliberately not cached: meant for the
+        ``validate`` self-check at small m and for tests.
         """
         return self._dense(self.spec.family_K, self.spec.K_value)
 

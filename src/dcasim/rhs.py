@@ -74,23 +74,3 @@ def mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
     cm = float(c[-1])
     return float(-(m + 1) * cm * A_m - m * (m + 1) * C_mm * cm * cm)
 
-
-def weak_form_rate(c: np.ndarray, dk: DiscreteKernel, phi: np.ndarray) -> float:
-    """Truncated moment-equation right side for a test sequence ``phi``.
-
-    ``phi`` needs ``m + 1`` entries since the forward difference
-    ``phi_{i+1} - phi_i`` is taken at the last row.  For ``phi_i = i`` the
-    bracket ``j * (phi_{i+1} - phi_i) - phi_j`` vanishes identically.
-    """
-    m = c.size
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (m + 1,):
-        raise ValueError(f"phi must have {m + 1} entries, got {phi.shape}")
-    j1 = np.arange(1, m + 1, dtype=float)
-    dphi = phi[1:] - phi[:-1]
-    bracket = dphi[:, None] * j1[None, :] - phi[:-1][None, :]
-    cc = np.outer(c, c)
-    lower = np.tril(np.ones((m, m)))           # j <= i
-    upper = np.triu(np.ones((m, m)))           # j >= i
-    rate = np.sum(bracket * dk.Kd * cc * lower) + np.sum(bracket * dk.Cd * cc * upper)
-    return float(rate)

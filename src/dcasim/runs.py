@@ -26,7 +26,7 @@ class RunConfig:
     epsilon_list: tuple = DEFAULT_EPSILON_LADDER
     x_max: float = 10.0
     snapshot_times: tuple = DEFAULT_SNAPSHOT_TIMES
-    M: float = 3.0
+    M: float | None = None
     lam: float | None = None
     kernel: KernelSpec | None = None
     rtol: float = 1e-6
@@ -46,14 +46,17 @@ class RunConfig:
             raise ValueError("epsilon_list must be strictly decreasing")
         if any(t < 0.0 for t in self.snapshot_times):
             raise ValueError("snapshot times must be nonnegative")
-        if self.kernel is not None and self.case != "custom":
-            raise ValueError(f"a kernel block needs case 'custom'; "
-                             f"case {self.case!r} runs its own kernel")
         if self.lam is not None and self.case != "case2":
             raise ValueError(f"lam applies to case 'case2' only; "
                              f"case {self.case!r} runs its own kernel")
+        if self.lam is not None and self.kernel is not None:
+            raise ValueError("lam sets case 2's C = lam * K, which a kernel block replaces; "
+                             "give one or the other")
+        if self.M is not None and self.case != "case3":
+            raise ValueError(f"M applies to case 'case3' only; "
+                             f"case {self.case!r} starts from x*exp(-x)")
+        exact_case_for(self)      # rejects an unknown case before kernel_for_case looks it up
         kernel_for_case(self)
-        exact_case_for(self)
         self.integrator_config()
         for eps in (self.epsilon, *self.epsilon_list):
             if eps is not None:
@@ -64,30 +67,37 @@ class RunConfig:
 
 
 def kernel_for_case(cfg: RunConfig) -> KernelSpec:
-    """Kernel pair implied by the selected test case (or the custom block)."""
-    if cfg.case == "case1":
-        return KernelSpec(family_K="constant", K_value=1.0, lam=1.0)
-    if cfg.case == "case2":
-        return KernelSpec(family_K="constant", K_value=1.0, lam=_case2_lam(cfg))
-    if cfg.case == "case3":
-        return KernelSpec(family_K="constant", K_value=1.0, lam=0.0)
-    if cfg.case == "custom":
-        if cfg.kernel is None:
-            raise ValueError("custom case requires an explicit kernel block")
+    """The kernel block if given, else the case's own pair K = 1, C = lam * K."""
+    if cfg.kernel is not None:
         return cfg.kernel
-    raise ValueError(f"unknown case {cfg.case!r}")
+    lam = {"case1": 1.0, "case2": _case2_lam(cfg), "case3": 0.0}[cfg.case]
+    return KernelSpec(family_K="constant", K_value=1.0, lam=lam)
 
 
-def exact_case_for(cfg: RunConfig) -> ExactCase | None:
-    if cfg.case == "custom":
-        return None
+def exact_case_for(cfg: RunConfig) -> ExactCase:
     lam = _case2_lam(cfg) if cfg.case == "case2" else None
-    return ExactCase(cfg.case, M=cfg.M, lam=lam)
+    return ExactCase(cfg.case, M=_case3_M(cfg), lam=lam)
 
 
 def _case2_lam(cfg: RunConfig) -> float:
     """Case 2 runs C = lam * K at lam = 1 unless ``lam`` is set."""
     return cfg.lam if cfg.lam is not None else 1.0
+
+
+def _case3_M(cfg: RunConfig) -> float:
+    """Case 3 starts from the uniform profile on [0, M] at M = 3 unless ``M`` is set."""
+    return cfg.M if cfg.M is not None else 3.0
+
+
+def config_metadata(cfg: RunConfig, resolution: dict, kernel: dict | None = None) -> dict:
+    """Header lines for the settings a run used, the case parameter included."""
+    md = {"case": cfg.case}
+    if cfg.case == "case3":
+        md["M"] = _case3_M(cfg)
+    elif cfg.case == "case2" and cfg.kernel is None:
+        md["lam"] = _case2_lam(cfg)
+    return {**md, **resolution, "x_max": cfg.x_max, **(kernel or {}),
+            "rtol": cfg.rtol, "atol": cfg.atol}
 
 
 @dataclass
@@ -107,40 +117,31 @@ class SimulationRun:
     hypotheses_verified: bool
 
     def metadata(self) -> dict:
-        md = {
-            "case": self.config.case,
-            "epsilon": self.epsilon,
-            "m": self.dk.grid.m,
-            "x_max": self.config.x_max,
+        md = config_metadata(self.config, {"epsilon": self.epsilon, "m": self.dk.grid.m}, {
             "kernel_K": self.spec.family_K,
             "kernel_K_value": self.spec.K_value,
             "kernel_lambda": self.spec.lam,
             "kernel_C": None if self.spec.lam is not None else self.spec.family_C,
-            "rtol": self.config.rtol,
-            "atol": self.config.atol,
+        })
+        md.update({
             "projection_dust": self.projection_loss.dust,
             "projection_tail": self.projection_loss.tail,
             "hypotheses": "verified" if self.hypotheses_verified else "hypotheses-unverified",
-        }
-        md.update(self.stats.metadata())
+            **self.stats.metadata(),
+        })
         return md
 
 
-def run_simulation(cfg: RunConfig, epsilon: float | None = None,
-                   spec: KernelSpec | None = None) -> SimulationRun:
+def run_simulation(cfg: RunConfig, epsilon: float | None = None) -> SimulationRun:
     """Project the initial data, integrate, and collect snapshots and moments."""
     eps = epsilon if epsilon is not None else cfg.epsilon
     if eps is None:
         raise ValueError("no epsilon given")
-    spec = spec if spec is not None else kernel_for_case(cfg)
+    spec = kernel_for_case(cfg)
     grid = build_grid(eps, cfg.x_max)
     dk = discretize(spec, grid)
 
-    case = exact_case_for(cfg)
-    if case is not None:
-        f_in = initial_profile(case)
-    else:
-        raise ValueError("custom runs need a named initial profile; use the case field")
+    f_in = initial_profile(exact_case_for(cfg))
     state0, loss = project_initial(f_in, grid)
     norm = weighted_initial_norm(f_in, cfg.x_max)
 
@@ -182,8 +183,11 @@ def sweep_case(cfg: RunConfig) -> ExactCase:
     """The closed-form case a sweep of ``cfg`` measures against; ValueError if none."""
     if len(cfg.epsilon_list) < 2:
         raise ValueError("sweep needs at least 2 epsilon values")
+    if cfg.kernel is not None:
+        raise ValueError("sweep measures against the closed form of the case's own kernels; "
+                         "a kernel block replaces them")
     case = exact_case_for(cfg)
-    if case is None or not has_closed_form(case):
+    if not has_closed_form(case):
         raise ValueError("sweep requires a case with a closed-form solution")
     return case
 

@@ -6,7 +6,8 @@ directly from the kernel closed forms, a direct weak-form double loop, and a
 fixed-step classical RK4 reference integrator.  The two RHS evaluations the
 package used before its separable-factor path are kept as references too:
 the O(m^2) row-cumulative sums over the dense matrices, and the O(m)
-prefix-sum formula for constant kernels.  The scalar relative-L1 error
+prefix-sum formula for constant kernels.  The vectorised weak-form rate over
+the dense matrices lives here as well; no package code calls it.  The scalar relative-L1 error
 measurement the package used before its vectorised one is kept as well: one
 closed-form call per probe and per Simpson node, and a ``brentq`` solve per
 sign change.
@@ -162,6 +163,27 @@ def naive_weak_form(c, spec: KernelSpec, epsilon: float, phi) -> float:
         for j in range(i, m + 1):
             total += (j * dphi - phi[j - 1]) * Cd[i - 1][j - 1] * c[i - 1] * c[j - 1]
     return total
+
+
+def weak_form_rate(c: np.ndarray, dk: DiscreteKernel, phi: np.ndarray) -> float:
+    """Truncated moment-equation right side for a test sequence ``phi``.
+
+    ``phi`` needs ``m + 1`` entries since the forward difference
+    ``phi_{i+1} - phi_i`` is taken at the last row.  For ``phi_i = i`` the
+    bracket ``j * (phi_{i+1} - phi_i) - phi_j`` vanishes identically.
+    """
+    m = c.size
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (m + 1,):
+        raise ValueError(f"phi must have {m + 1} entries, got {phi.shape}")
+    j1 = np.arange(1, m + 1, dtype=float)
+    dphi = phi[1:] - phi[:-1]
+    bracket = dphi[:, None] * j1[None, :] - phi[:-1][None, :]
+    cc = np.outer(c, c)
+    lower = np.tril(np.ones((m, m)))           # j <= i
+    upper = np.triu(np.ones((m, m)))           # j >= i
+    rate = np.sum(bracket * dk.Kd * cc * lower) + np.sum(bracket * dk.Cd * cc * upper)
+    return float(rate)
 
 
 def rk4_reference(c0: np.ndarray, dk: DiscreteKernel, t_end: float, h: float) -> np.ndarray:

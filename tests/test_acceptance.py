@@ -16,7 +16,7 @@ from dcasim.exact import ExactCase, exact_solution
 from dcasim.grid import build_grid
 from dcasim.integrator import IntegratorConfig, integrate
 from dcasim.kernels import KernelSpec, discretize
-from dcasim.rhs import mass_defect_rate, rhs_vector, weak_form_rate
+from dcasim.rhs import mass_defect_rate, rhs_vector
 from dcasim.runs import RunConfig, run_simulation, run_sweep
 from dcasim.state import MomentSeries, moment, project_initial, reconstruct
 from dcasim.analysis import rel_l1_error
@@ -24,7 +24,7 @@ from dcasim.cli import main as cli_main
 from dcasim.output import body_of, snapshot_filename
 
 from oracle import (ORACLE_KERNELS, naive_rhs, random_instance, rk4_reference,
-                    small_grid)
+                    small_grid, weak_form_rate)
 
 LADDER = (0.05, 0.01, 0.005)
 ORDER_WINDOW = (0.7, 1.5)
@@ -174,8 +174,8 @@ def test_criterion_06_lambda_family(lambda_runs):
     # lam=0 matches an independent build with C identically zero
     spec0 = KernelSpec(family_K="constant", K_value=1.0, lam=None,
                        family_C="constant", C_value=0.0)
-    cfg0 = RunConfig(case="case2", lam=0.0, epsilon=0.05)
-    run0 = run_simulation(cfg0, spec=spec0)
+    cfg0 = RunConfig(case="case2", epsilon=0.05, kernel=spec0)
+    run0 = run_simulation(cfg0)
     pure_ohs = all(np.array_equal(a.c, b.c) for a, b in
                    zip(run0.snapshots, lambda_runs[0.0].snapshots))
 

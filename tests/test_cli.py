@@ -105,11 +105,52 @@ def test_bad_epsilon_is_config_error(tmp_path):
 
 
 def test_simulate_custom_case_is_config_error(tmp_path, capsys):
+    # there is no 'custom' case: a named case picks the profile, a kernel block the kernels
     cfg = _write_config(tmp_path, {
         "case": "custom", "epsilon": 0.2,
         "kernel": {"K": "product", "C": "product"}})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert "no initial profile" in capsys.readouterr().err
+    assert "unknown case 'custom'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def _header(path):
+    return {key: value for key, _, value in
+            (line[2:].rstrip("\n").partition(" = ") for line in open(path)
+             if line.startswith("# "))}
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "case3"])
+def test_kernel_block_overrides_case_kernels(tmp_path, capsys, case):
+    # the case picks the initial profile, the block the kernels; product
+    # kernels gel, so the truncated run loses most of its mass through x_max
+    cfg = _write_config(tmp_path, {**FAST_YAML, "case": case,
+                                   "kernel": {"K": "product", "C": "product"}})
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
+    moments = os.path.join(out, "moments.csv")
+    header = _header(moments)
+    assert (header["kernel_K"], header["kernel_C"]) == ("product", "product")
+    assert header["hypotheses"] == "hypotheses-unverified"
+    assert "lam" not in header
+    m1 = [float(row.split(",")[2]) for row in body_of(moments).splitlines()[1:]]
+    assert m1[-1] < 0.1 * m1[0]
+    assert main(["validate", "--config", cfg]) == EXIT_OK
+    assert "PASS  fast RHS matches direct summation" in capsys.readouterr().out
+
+
+def test_headers_record_case_parameter(tmp_path):
+    cfg = _write_config(tmp_path, {**FAST_YAML, "case": "case3", "M": 2.5})
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
+    assert _header(os.path.join(out, "moments.csv"))["M"] == "2.5"
+    cfg = _write_config(tmp_path, {"case": "case2", "epsilon_list": [0.2, 0.1],
+                                   "snapshot_times": [1.0]})
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
+    header = _header(os.path.join(out, "errors_t1.csv"))
+    assert header["lam"] == "1.0"
+    assert "M" not in header
 
 
 def test_apriori_bound_violation_is_validation_failure(tmp_path, monkeypatch, capsys):
@@ -178,7 +219,7 @@ def test_validate_constant_kernels_all_pass(tmp_path, capsys):
 
 def test_validate_flags_product_kernel(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
-        "case": "custom", "epsilon": 0.2,
+        "case": "case1", "epsilon": 0.2,
         "kernel": {"K": "product", "C": "product"}})
     assert main(["validate", "--config", cfg]) == EXIT_OK
     out = capsys.readouterr().out
@@ -189,9 +230,10 @@ def test_validate_flags_product_kernel(tmp_path, capsys):
     assert "PASS  weighted-sum boundary identity" in out
 
 
-def test_validate_custom_case_without_kernel_is_config_error(capsys):
-    assert main(["validate", "--case", "custom"]) == EXIT_CONFIG
-    assert "custom case requires an explicit kernel block" in capsys.readouterr().err
+def test_validate_custom_case_without_kernel_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"case": "custom", "epsilon": 0.2})
+    assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+    assert "unknown case 'custom'" in capsys.readouterr().err
 
 
 def test_repeat_simulate_is_byte_identical(tmp_path):
@@ -216,14 +258,13 @@ INVALID_SETTINGS = [
     ("simulate", {"case": "foo"}, "case=foo"),
     ("sweep", {"rtol": "abc"}, "rtol=abc"),
     ("validate", {"negativity_policy": "bogus"}, "policy=bogus"),
-    ("simulate", KERNEL_BLOCK, "case1-kernel"),
     ("sweep", KERNEL_BLOCK, "case1-kernel"),
-    ("validate", KERNEL_BLOCK, "case1-kernel"),
-    ("validate", {"case": "custom", "kernel": {"K": "product", "Lambda": 0.5}},
-     "kernel-unknown-key"),
+    ("simulate", {"case": "case2", "lam": 0.5, **KERNEL_BLOCK}, "case2-lam-kernel"),
+    ("validate", {"kernel": {"K": "product", "Lambda": 0.5}}, "kernel-unknown-key"),
     ("sweep", {"epsilon_list": [0.2, 0.2, 0.1]}, "repeated-epsilon"),
     ("simulate", {"lam": 0.3}, "case1-lam"),
     ("sweep", {"case": "case3", "lam": 0.3}, "case3-lam"),
+    ("simulate", {"M": 5.0}, "case1-M"),
 ]
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from dcasim.kernels import KernelSpec, discretize
-from dcasim.rhs import mass_defect_rate, rhs_vector, weak_form_rate
+from dcasim.rhs import mass_defect_rate, rhs_vector
 
 from oracle import (FAMILY_PAIRS, ORACLE_KERNELS, constant_mass_defect_rate,
                     constant_sums, dense_mass_defect_rate, dense_sums, naive_rhs,
-                    naive_weak_form, rhs_from_sums, small_grid)
+                    naive_weak_form, rhs_from_sums, small_grid, weak_form_rate)
 
 
 def _dk(spec, epsilon, m):

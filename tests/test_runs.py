@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dcasim.runs
+from dcasim.exact import CASE_IDS
 from dcasim.integrator import IntegrationError
 from dcasim.kernels import KernelSpec
 from dcasim.runs import (RunConfig, exact_case_for, kernel_for_case,
@@ -26,16 +27,19 @@ def test_kernel_for_case():
     assert kernel_for_case(RunConfig(case="case3")).lam == 0.0
     assert kernel_for_case(RunConfig(case="case2", lam=0.75)).lam == 0.75
     with pytest.raises(ValueError):
-        kernel_for_case(RunConfig(case="custom"))
+        RunConfig(case="custom")
     spec = KernelSpec(family_K="sum", family_C="sum")
-    assert kernel_for_case(RunConfig(case="custom", kernel=spec)) is spec
+    for case in CASE_IDS:       # a kernel block replaces the case's own pair
+        assert kernel_for_case(RunConfig(case=case, kernel=spec)) is spec
 
 
 def test_exact_case_for():
     assert exact_case_for(RunConfig(case="case1")).id == "case1"
     assert exact_case_for(RunConfig(case="case2", lam=0.5)).lam == 0.5
-    assert exact_case_for(RunConfig(case="custom",
-                                    kernel=KernelSpec())) is None
+    assert exact_case_for(RunConfig(case="case3")).M == 3.0
+    assert exact_case_for(RunConfig(case="case3", M=5.0)).M == 5.0
+    # the case still picks the initial profile when a kernel block is given
+    assert exact_case_for(RunConfig(case="case3", kernel=KernelSpec())).id == "case3"
 
 
 def test_run_simulation_requires_epsilon():
@@ -58,7 +62,7 @@ def test_run_simulation_collects_everything():
 
 def test_run_simulation_tags_unverified_kernels():
     spec = KernelSpec(family_K="product", family_C="product")
-    run = run_simulation(RunConfig(case="case1", **FAST), spec=spec)
+    run = run_simulation(RunConfig(case="case1", kernel=spec, **FAST))
     assert not run.hypotheses_verified
     assert run.metadata()["hypotheses"] == "hypotheses-unverified"
 
