@@ -44,7 +44,6 @@ _FLAGS = {
     "--out": ("output_dir", {"help": "output directory"}),
     "--rtol": ("rtol", {"type": float}),
     "--atol": ("atol", {"type": float}),
-    "--threads": ("threads", {"type": int}),
 }
 
 
@@ -73,25 +72,18 @@ def _load_config(args) -> RunConfig:
     kb = fields.get("kernel")
     if kb is not None:
         try:
-            extra = set(kb) - {"K", "L", "lambda", "C", "C_value", "declared_bounds"}
+            extra = set(kb) - {"K", "L", "C", "C_value", "declared_bounds"}
             if extra:
                 raise ValueError(f"unknown keys {', '.join(sorted(map(str, extra)))}")
             fields["kernel"] = KernelSpec(
                 family_K=kb.get("K", "constant"),
-                K_value=float(kb.get("L", 1.0)),
-                lam=None if kb.get("lambda") is None else float(kb["lambda"]),
+                K_value=kb.get("L", 1.0),
                 family_C=kb.get("C", "constant"),
-                C_value=float(kb.get("C_value", 1.0)),
-                declared_bounds={k: float(v) for k, v in (kb.get("declared_bounds") or {}).items()},
+                C_value=kb.get("C_value", 1.0),
+                declared_bounds=dict(kb.get("declared_bounds") or {}),
             )
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"config key 'kernel': {exc}") from exc
-    for key in ("epsilon_list", "snapshot_times"):
-        try:
-            if key in fields:
-                fields[key] = tuple(float(v) for v in fields[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r} must be a list of numbers") from exc
     try:
         return RunConfig(**fields)
     except (TypeError, ValueError) as exc:

@@ -1,59 +1,73 @@
 """Kernel pairs (K, C): closed-form registry, discretization, growth probes.
 
-The registry is closed: ``constant`` (value L), ``product`` K(x,y) = x*y and
-``sum`` K(x,y) = x + y.  The inverse-aggregation kernel C is either given by
-its own family or tied to K through ``C = lam * K``.
+The registry is closed: ``constant`` L, ``product`` L*x*y and ``sum``
+L*(x + y), each scaled by its value L.  K and C are two independent kernels
+of this form; ``C = lam * K`` is C in K's family with value ``lam * L``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from .grid import Grid
 
-# Separable form s * K(x, y) = sum_r a_r(x) * b_r(y), b_r(y) being 1 (key "1")
-# or y (key "x"); each family maps (s, value, x) to its pairs (a_r(x), key_r).
+# Separable form eps * K(x, y) = sum_r a_r(x) * b_r(y), b_r(y) being 1 (key "1")
+# or y (key "x"); each family maps (s, x), s = eps * value, to its pairs (a_r(x), key_r).
 _FACTORS = {
-    "constant": lambda s, value, x: ((s * value, "1"),),
-    "product": lambda s, value, x: ((s * x, "x"),),
-    "sum": lambda s, value, x: ((s * x, "1"), (s, "x")),
+    "constant": lambda s, x: ((s, "1"),),
+    "product": lambda s, x: ((s * x, "x"),),
+    "sum": lambda s, x: ((s * x, "1"), (s, "x")),
 }
 FAMILIES = tuple(_FACTORS)
+
+# Growth constants read by probe_hypotheses (M_cal) and moment_diagnostics (A1, A2, K1).
+BOUND_KEYS = ("M_cal", "A1", "A2", "K1")
 
 # Growth probes: x on [0, R], y on [R, Y_MAX] at SAMPLES geometric points.
 _PROBE_R, _PROBE_Y_MAX, _PROBE_SAMPLES = 1.0, 1000.0, 32
 
 
+def finite_float(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
-    """Closed-form kernel pair selection.
+    """Closed-form kernel pair: K is ``family_K`` scaled by ``K_value``, C is
+    ``family_C`` scaled by ``C_value``.
 
-    ``lam`` (when not None) sets ``C = lam * K`` and makes ``family_C``
-    irrelevant.  ``declared_bounds`` carries optional growth constants used by
-    the moment/gelation diagnostics:
+    ``declared_bounds`` carries optional growth constants, by key:
 
-    - ``alpha``, ``beta``: lower bounds on the size-derivative of K and C,
-    - ``M_cal``: uniform bound on C for large second argument,
+    - ``M_cal``: uniform bound on C for large second argument (``probe_hypotheses``),
     - ``A1``, ``A2``: product-growth constants K <= A1*x*y, C <= A2*x*y,
-    - ``K1``, ``K2``: product lower-bound constants K >= K1*x*y, C >= K2*x*y.
+    - ``K1``: product lower-bound constant K >= K1*x*y (both ``moment_diagnostics``).
     """
 
     family_K: str = "constant"
     K_value: float = 1.0
-    lam: float | None = None
     family_C: str = "constant"
     C_value: float = 1.0
     declared_bounds: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.family_K not in FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family_K!r}")
-        if self.lam is None and self.family_C not in FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family_C!r}")
-        if self.lam is not None and not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
+        for family in (self.family_K, self.family_C):
+            if family not in FAMILIES:
+                raise ValueError(f"unknown kernel family {family!r}")
+        unknown = set(self.declared_bounds) - set(BOUND_KEYS)
+        if unknown:
+            raise ValueError(f"unknown declared bounds {', '.join(sorted(map(str, unknown)))}; "
+                             f"known: {', '.join(BOUND_KEYS)}")
+        object.__setattr__(self, "K_value", finite_float("K_value", self.K_value))
+        object.__setattr__(self, "C_value", finite_float("C_value", self.C_value))
+        object.__setattr__(self, "declared_bounds", {
+            key: finite_float(key, value) for key, value in self.declared_bounds.items()})
 
 
 @dataclass(frozen=True)
@@ -85,17 +99,12 @@ class DiscreteKernel:
     @property
     def Cd(self) -> np.ndarray:
         """Dense ``Cd[i-1, j-1] = eps * C(eps*i, eps*j)``; see ``Kd``."""
-        spec = self.spec
-        if spec.lam is not None:
-            return self._dense(spec.family_K, spec.K_value, spec.lam)
-        return self._dense(spec.family_C, spec.C_value)
+        return self._dense(self.spec.family_C, self.spec.C_value)
 
-    def _dense(self, family: str, value: float, lam: float | None = None) -> np.ndarray:
-        # eps * (lam * K(x_i, x_j)), scaled in place: one m x m allocation
+    def _dense(self, family: str, value: float) -> np.ndarray:
+        # eps * K(x_i, x_j), scaled in place: one m x m allocation
         xs = self.grid.centers()
         out = _eval_family(family, value, xs[:, None], xs[None, :])
-        if lam is not None:
-            out *= lam
         out *= self.grid.epsilon
         return out
 
@@ -122,10 +131,13 @@ def _eval_family(family: str, value: float, x, y):
     if family == "constant":
         return np.broadcast_to(np.float64(value), np.broadcast_shapes(x.shape, y.shape)).copy()
     if family == "product":
-        return x * y
-    if family == "sum":
-        return x + y
-    raise ValueError(f"unknown kernel family {family!r}")
+        out = x * y
+    elif family == "sum":
+        out = x + y
+    else:
+        raise ValueError(f"unknown kernel family {family!r}")
+    out *= value        # in place, so a matrix result stays one allocation
+    return out
 
 
 def eval_K(spec: KernelSpec, x, y):
@@ -135,22 +147,16 @@ def eval_K(spec: KernelSpec, x, y):
 
 
 def eval_C(spec: KernelSpec, x, y):
-    """Evaluate the inverse-aggregation kernel (``lam * K`` when lam is set)."""
-    if spec.lam is not None:
-        out = spec.lam * _eval_family(spec.family_K, spec.K_value, x, y)
-    else:
-        out = _eval_family(spec.family_C, spec.C_value, x, y)
+    """Evaluate the inverse-aggregation kernel; accepts scalars or arrays."""
+    out = _eval_family(spec.family_C, spec.C_value, x, y)
     return float(out) if out.ndim == 0 else out
 
 
 def discretize(spec: KernelSpec, grid: Grid) -> DiscreteKernel:
-    """Separable factors (s = eps) of the point rule ``eps * K(eps*i, eps*j)``, K and C."""
+    """Separable factors of the point rule ``eps * K(eps*i, eps*j)``, K and C."""
     xs = grid.centers()
-    K_factors = _FACTORS[spec.family_K](grid.epsilon, spec.K_value, xs)
-    if spec.lam is not None:
-        C_factors = tuple((spec.lam * a, key) for a, key in K_factors)
-    else:
-        C_factors = _FACTORS[spec.family_C](grid.epsilon, spec.C_value, xs)
+    K_factors = _FACTORS[spec.family_K](grid.epsilon * spec.K_value, xs)
+    C_factors = _FACTORS[spec.family_C](grid.epsilon * spec.C_value, xs)
     columns = {key: None if key == "1" else xs for _, key in K_factors + C_factors}
     return DiscreteKernel(grid=grid, spec=spec, K_factors=K_factors,
                           C_factors=C_factors, columns=columns)
@@ -173,8 +179,7 @@ def probe_hypotheses(spec: KernelSpec) -> HypothesisReport:
 
     Cvals = eval_C(spec, xs[:, None], ys[None, :])
     ch2_sup = float(np.max(Cvals))
-    declared = spec.declared_bounds.get("M_cal")
-    M_cal = float(declared) if declared is not None else 1.1 * ch2_sup
+    M_cal = spec.declared_bounds.get("M_cal", 1.1 * ch2_sup)
     ch2_pass = bool(ch2_sup <= M_cal * (1.0 + 1e-12))
 
     return HypothesisReport(

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from numbers import Real
+from dataclasses import dataclass, field, fields
 
 from .analysis import ConvergenceTable, rel_l1_error
 from .exact import ExactCase, has_closed_form, initial_profile
 from .grid import build_grid
 from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate
-from .kernels import DiscreteKernel, KernelSpec, discretize, probe_hypotheses
+from .kernels import DiscreteKernel, KernelSpec, discretize, finite_float, probe_hypotheses
 from .state import (AprioriBoundError, DiscreteState, MomentSeries,
                     ProjectionLoss, check_apriori_bounds, project_initial, reconstruct,
                     weighted_initial_norm)
@@ -32,16 +30,17 @@ class RunConfig:
     rtol: float = 1e-6
     atol: float = 1e-10
     output_dir: str = "out"
-    threads: int = 1
 
     def __post_init__(self):
         """Build what a run builds from these settings, so a bad one fails here."""
         for name in ("epsilon", "x_max", "M", "lam", "rtol", "atol"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not isinstance(self.threads, int) or self.threads < 1:
-            raise ValueError(f"threads must be a positive integer, got {self.threads!r}")
+            if getattr(self, name) is not None:
+                setattr(self, name, finite_float(name, getattr(self, name)))
+        for name in ("epsilon_list", "snapshot_times"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+            setattr(self, name, tuple(finite_float(name, v) for v in values))
         if list(self.epsilon_list) != sorted(set(self.epsilon_list), reverse=True):
             raise ValueError("epsilon_list must be strictly decreasing")
         if any(t < 0.0 for t in self.snapshot_times):
@@ -67,11 +66,11 @@ class RunConfig:
 
 
 def kernel_for_case(cfg: RunConfig) -> KernelSpec:
-    """The kernel block if given, else the case's own pair K = 1, C = lam * K."""
+    """The kernel block if given, else the case's own pair K = 1, C = lam."""
     if cfg.kernel is not None:
         return cfg.kernel
     lam = {"case1": 1.0, "case2": _case2_lam(cfg), "case3": 0.0}[cfg.case]
-    return KernelSpec(family_K="constant", K_value=1.0, lam=lam)
+    return KernelSpec(C_value=lam)
 
 
 def exact_case_for(cfg: RunConfig) -> ExactCase:
@@ -117,12 +116,10 @@ class SimulationRun:
     hypotheses_verified: bool
 
     def metadata(self) -> dict:
-        md = config_metadata(self.config, {"epsilon": self.epsilon, "m": self.dk.grid.m}, {
-            "kernel_K": self.spec.family_K,
-            "kernel_K_value": self.spec.K_value,
-            "kernel_lambda": self.spec.lam,
-            "kernel_C": None if self.spec.lam is not None else self.spec.family_C,
-        })
+        # kernel_K, kernel_K_value, kernel_C, kernel_C_value, kernel_declared_bounds
+        kernel = {"kernel_" + f.name.removeprefix("family_"): getattr(self.spec, f.name)
+                  for f in fields(self.spec)}
+        md = config_metadata(self.config, {"epsilon": self.epsilon, "m": self.dk.grid.m}, kernel)
         md.update({
             "projection_dust": self.projection_loss.dust,
             "projection_tail": self.projection_loss.tail,
@@ -163,15 +160,6 @@ def run_simulation(cfg: RunConfig, epsilon: float | None = None) -> SimulationRu
                          hypotheses_verified=verified)
 
 
-def _sweep_one(args):
-    cfg, eps = args
-    try:
-        run = run_simulation(cfg, epsilon=eps)
-    except (IntegrationError, AprioriBoundError) as exc:  # keep remaining epsilons alive
-        return eps, None, f"{type(exc).__name__}: {exc}"
-    return eps, run, None
-
-
 @dataclass
 class SweepResult:
     tables: dict            # snapshot time -> ConvergenceTable
@@ -195,24 +183,13 @@ def sweep_case(cfg: RunConfig) -> ExactCase:
 def run_sweep(cfg: RunConfig) -> SweepResult:
     """Run the epsilon ladder and tabulate errors against the closed form."""
     case = sweep_case(cfg)
-    jobs = [(cfg, eps) for eps in cfg.epsilon_list]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_sweep_one, jobs))
-    else:
-        results = [_sweep_one(j) for j in jobs]
-
-    runs, failures = {}, {}
-    for eps, run, err in results:
-        if err is None:
-            runs[eps] = run
-        else:
-            failures[eps] = err
-
     tables = {t: ConvergenceTable(t=t) for t in sorted(set(cfg.snapshot_times))}
+    runs, failures = {}, {}
     for eps in cfg.epsilon_list:
-        run = runs.get(eps)
-        if run is None:
+        try:
+            run = runs[eps] = run_simulation(cfg, epsilon=eps)
+        except (IntegrationError, AprioriBoundError) as exc:  # keep remaining epsilons alive
+            failures[eps] = f"{type(exc).__name__}: {exc}"
             continue
         for st in run.snapshots:
             tables[st.t].add(rel_l1_error(reconstruct(st), case, st.t))

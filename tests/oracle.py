@@ -31,16 +31,14 @@ from dcasim.state import StepFunction
 
 def kernel_value(spec: KernelSpec, which: str, x: float, y: float) -> float:
     """Scalar kernel evaluation straight from the family definitions."""
-    if which == "C" and spec.lam is not None:
-        return spec.lam * kernel_value(spec, "K", x, y)
     family = spec.family_K if which == "K" else spec.family_C
     value = spec.K_value if which == "K" else spec.C_value
     if family == "constant":
         return value
     if family == "product":
-        return x * y
+        return value * x * y
     if family == "sum":
-        return x + y
+        return value * (x + y)
     raise ValueError(family)
 
 
@@ -274,19 +272,16 @@ def random_instance(rng: np.random.Generator, specs):
     return spec, epsilon, m, c
 
 
-# every K family, with C tied by lam and with each own C family
+# every K family, with C = 0.5 * K and with each C family at its own value
 FAMILY_PAIRS = tuple(
     spec for fam in FAMILIES for spec in (
-        KernelSpec(family_K=fam, K_value=2.5, lam=0.5),
-        *(KernelSpec(family_K=fam, K_value=2.5, lam=None, family_C=fam_C, C_value=0.7)
+        KernelSpec(family_K=fam, K_value=2.5, family_C=fam, C_value=1.25),
+        *(KernelSpec(family_K=fam, K_value=2.5, family_C=fam_C, C_value=0.7)
           for fam_C in FAMILIES)))
 
 ORACLE_KERNELS = (
-    KernelSpec(family_K="constant", K_value=1.0, lam=None,
-               family_C="constant", C_value=1.0),
-    KernelSpec(family_K="product", K_value=1.0, lam=None,
-               family_C="product", C_value=1.0),
-    KernelSpec(family_K="sum", K_value=1.0, lam=None,
-               family_C="sum", C_value=1.0),
-    KernelSpec(family_K="constant", K_value=1.0, lam=0.5),
+    KernelSpec(family_K="constant", K_value=1.0, family_C="constant", C_value=1.0),
+    KernelSpec(family_K="product", K_value=1.0, family_C="product", C_value=1.0),
+    KernelSpec(family_K="sum", K_value=1.0, family_C="sum", C_value=1.0),
+    KernelSpec(family_K="constant", K_value=1.0, family_C="constant", C_value=0.5),
 )

@@ -172,7 +172,7 @@ def test_criterion_06_lambda_family(lambda_runs):
     same_as_case1 = sup <= 1e-12
 
     # lam=0 matches an independent build with C identically zero
-    spec0 = KernelSpec(family_K="constant", K_value=1.0, lam=None,
+    spec0 = KernelSpec(family_K="constant", K_value=1.0,
                        family_C="constant", C_value=0.0)
     cfg0 = RunConfig(case="case2", epsilon=0.05, kernel=spec0)
     run0 = run_simulation(cfg0)
@@ -242,7 +242,7 @@ def test_criterion_09_exact_solution_self_checks():
 
 
 def test_criterion_10_second_moment_riccati_bound():
-    spec = KernelSpec(family_K="product", K_value=1.0, lam=None,
+    spec = KernelSpec(family_K="product", K_value=1.0,
                       family_C="product", C_value=1.0,
                       declared_bounds={"A1": 1.0, "A2": 1.0})
     eps = 0.02

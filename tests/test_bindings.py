@@ -32,7 +32,7 @@ def test_benchmark_bindings(monkeypatch):
 
     monkeypatch.setattr(dcasim.integrator, "rhs_vector", counted)
     grid = small_grid(0.1, 6)
-    dk = discretize(KernelSpec(lam=1.0), grid)
+    dk = discretize(KernelSpec(C_value=1.0), grid)
     _, stats = integrate(DiscreteState(grid, np.linspace(1.0, 0.1, 6)), dk,
                          IntegratorConfig(), [0.5])
     assert len(calls) == stats.rhs_evals > 0

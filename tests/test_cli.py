@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import re
@@ -10,6 +11,7 @@ import dcasim.cli
 import dcasim.runs
 from dcasim.cli import EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK, EXIT_VALIDATION, main
 from dcasim.integrator import IntegrationError
+from dcasim.kernels import KernelSpec
 from dcasim.output import body_of, snapshot_filename
 from dcasim.state import AprioriBoundError
 
@@ -86,7 +88,8 @@ def test_lambda_list_is_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys: lambda_list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("t_max", 2.5), ("negativity_policy", "clamp_tiny")])
+@pytest.mark.parametrize("key, value", [("t_max", 2.5), ("negativity_policy", "clamp_tiny"),
+                                        ("threads", 2)])
 def test_deleted_setting_is_unknown_config_key(tmp_path, capsys, key, value):
     # a config that still carries a deleted setting is rejected, not ignored
     cfg = _write_config(tmp_path, {**FAST_YAML, key: value})
@@ -151,6 +154,32 @@ def test_headers_record_case_parameter(tmp_path):
     header = _header(os.path.join(out, "errors_t1.csv"))
     assert header["lam"] == "1.0"
     assert "M" not in header
+
+
+def test_header_records_whole_kernel(tmp_path):
+    # every KernelSpec field has a header line, so two runs that differ only
+    # in the kernel (here C_value) differ in their headers too; numbers read as floats
+    headers = []
+    for c_value in (1, 0.5):
+        cfg = _write_config(tmp_path, {**FAST_YAML, "kernel": {"C_value": c_value}})
+        out = str(tmp_path / f"C{c_value}")
+        assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
+        headers.append(_header(os.path.join(out, "moments.csv")))
+    for f in dataclasses.fields(KernelSpec):
+        assert "kernel_" + f.name.removeprefix("family_") in headers[0], f.name
+    assert (headers[0]["kernel_C_value"], headers[1]["kernel_C_value"]) == ("1.0", "0.5")
+    assert headers[0] != headers[1]
+
+
+def test_kernel_value_scales_product_kernel(tmp_path):
+    # L scales every family, the product kernel included
+    bodies = []
+    for L in (1.0, 2.0):
+        cfg = _write_config(tmp_path, {**FAST_YAML, "kernel": {"K": "product", "L": L}})
+        out = str(tmp_path / f"L{L}")
+        assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
+        bodies.append(body_of(os.path.join(out, "moments.csv")))
+    assert bodies[0] != bodies[1]
 
 
 def test_apriori_bound_violation_is_validation_failure(tmp_path, monkeypatch, capsys):
@@ -265,16 +294,24 @@ INVALID_SETTINGS = [
     ("simulate", {"lam": 0.3}, "case1-lam"),
     ("sweep", {"case": "case3", "lam": 0.3}, "case3-lam"),
     ("simulate", {"M": 5.0}, "case1-M"),
+    ("simulate", {"x_max": float("inf")}, "x_max=inf"),
+    ("simulate", {"snapshot_times": [float("inf")]}, "snapshot-inf"),
+    ("simulate", {}, "flag-rtol=nan", "--rtol", "nan"),
+    ("simulate", {"kernel": {"L": float("nan")}}, "kernel-L=nan"),
+    ("simulate", {"x_max": True}, "x_max=true"),
+    ("simulate", {"kernel": {"lambda": 0.5}}, "kernel-lambda"),
+    ("validate", {"kernel": {"declared_bounds": {"alpha": 1.0}}}, "kernel-unknown-bound"),
 ]
 
 
-@pytest.mark.parametrize("command, overrides", [
-    pytest.param(command, overrides, id=f"{command}-{name}")
-    for command, overrides, name in INVALID_SETTINGS])
-def test_invalid_setting_is_config_error(tmp_path, capsys, command, overrides):
+@pytest.mark.parametrize("command, overrides, flags", [
+    pytest.param(command, overrides, flags, id=f"{command}-{name}")
+    for command, overrides, name, *flags in INVALID_SETTINGS])
+def test_invalid_setting_is_config_error(tmp_path, capsys, command, overrides, flags):
     # every setting is checked when the config loads, before any run starts
     cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon_list": [0.2, 0.1], **overrides})
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]
+    assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err

@@ -8,7 +8,7 @@ from dcasim.state import DiscreteState, moment, project_initial
 
 from oracle import rk4_reference, small_grid
 
-CONST = KernelSpec(family_K="constant", K_value=1.0, lam=1.0)
+CONST = KernelSpec(family_K="constant", K_value=1.0, C_value=1.0)
 
 
 def _setup(epsilon=0.1, m=None, x_max=10.0):

@@ -6,6 +6,7 @@ import pytest
 from dcasim.grid import build_grid
 from dcasim.kernels import (FAMILIES, KernelSpec, discretize, eval_C, eval_K,
                             probe_hypotheses)
+from dcasim.runs import RunConfig
 
 from oracle import FAMILY_PAIRS, small_grid
 
@@ -21,16 +22,21 @@ def test_product_and_sum_kernels():
     add = KernelSpec(family_K="sum")
     assert eval_K(prod, 0.2, 0.3) == pytest.approx(0.06)
     assert eval_K(add, 0.2, 0.3) == pytest.approx(0.5)
+    # every family scales by its value
+    assert eval_K(KernelSpec(family_K="product", K_value=2.5), 0.2, 0.3) == pytest.approx(0.15)
+    assert eval_C(KernelSpec(family_C="sum", C_value=0.7), 0.2, 0.3) == pytest.approx(0.35)
 
 
 def test_lambda_ties_C_to_K():
-    spec = KernelSpec(family_K="constant", K_value=1.0, lam=0.5)
-    assert eval_C(spec, 5.0, 1.0) == pytest.approx(0.5)
-    assert eval_C(spec, 0.0, 100.0) == pytest.approx(0.5)
+    # C = lam * K is C in K's family with value lam * L
+    for fam in FAMILIES:
+        spec = KernelSpec(family_K=fam, K_value=2.0, family_C=fam, C_value=0.5 * 2.0)
+        for x, y in ((5.0, 1.0), (0.0, 100.0), (0.2, 0.3)):
+            assert eval_C(spec, x, y) == pytest.approx(0.5 * eval_K(spec, x, y))
 
 
 def test_independent_C_family():
-    spec = KernelSpec(family_K="constant", K_value=1.0, lam=None,
+    spec = KernelSpec(family_K="constant", K_value=1.0,
                       family_C="product", C_value=1.0)
     assert eval_C(spec, 0.2, 0.3) == pytest.approx(0.06)
 
@@ -49,20 +55,30 @@ def test_unknown_family_rejected():
 
 
 def test_lambda_out_of_range_rejected():
+    # case 2's lam is the one lambda left, and it must lie in [0, 1]
     with pytest.raises(ValueError):
-        KernelSpec(lam=1.5)
+        RunConfig(case="case2", lam=1.5)
     with pytest.raises(ValueError):
-        KernelSpec(lam=-0.1)
+        RunConfig(case="case2", lam=-0.1)
+
+
+@pytest.mark.parametrize("bad", [
+    {"K_value": float("nan")}, {"C_value": float("inf")}, {"K_value": True},
+    {"C_value": "2"}, {"declared_bounds": {"M_cal": float("nan")}},
+    {"declared_bounds": {"alpha": 1.0}}, {"declared_bounds": {"K2": 1.0}}])
+def test_kernel_settings_rejected(bad):
+    with pytest.raises(ValueError):
+        KernelSpec(**bad)
 
 
 def test_point_rule_constant_matrix():
     g = build_grid(0.1, 2.0)
-    dk = discretize(KernelSpec(family_K="constant", K_value=1.0, lam=1.0), g)
+    dk = discretize(KernelSpec(family_K="constant", K_value=1.0, C_value=1.0), g)
     np.testing.assert_allclose(dk.Kd, 0.1)
     np.testing.assert_allclose(dk.Cd, 0.1)
     # scalar row factors, as the O(m) constant formula uses them
     assert dk.K_factors == ((0.1 * 1.0, "1"),)
-    assert dk.C_factors == ((1.0 * (0.1 * 1.0), "1"),)
+    assert dk.C_factors == ((0.1 * 1.0, "1"),)
     assert dk.columns == {"1": None}
 
 
@@ -134,7 +150,7 @@ def test_discretize_memory_linear_in_m(family):
 def test_dense_access_allocates_one_matrix(family):
     g = build_grid(0.01, 10.0)
     m = g.m
-    for spec in (KernelSpec(family_K=family, lam=0.5),
+    for spec in (KernelSpec(family_K=family, K_value=2.5, family_C=family, C_value=1.25),
                  KernelSpec(family_K="constant", family_C=family)):
         dk = discretize(spec, g)
         assert _traced_peak(lambda: dk.Kd) < 1.1 * 8 * m * m
@@ -142,7 +158,7 @@ def test_dense_access_allocates_one_matrix(family):
 
 
 def test_probe_constant_kernels_pass():
-    rep = probe_hypotheses(KernelSpec(family_K="constant", K_value=1.0, lam=1.0))
+    rep = probe_hypotheses(KernelSpec(family_K="constant", K_value=1.0, C_value=1.0))
     assert rep.ch1_pass and rep.ch2_pass
     assert rep.symmetric_K and rep.symmetric_C
     assert rep.nonneg_K and rep.nonneg_C
@@ -157,13 +173,13 @@ def test_probe_product_kernel_fails_growth():
 
 
 def test_probe_lambda_zero_C_vacuous():
-    rep = probe_hypotheses(KernelSpec(family_K="constant", K_value=1.0, lam=0.0))
+    rep = probe_hypotheses(KernelSpec(family_K="constant", K_value=1.0, C_value=0.0))
     assert rep.ch2_pass
     assert rep.ch2_sup == 0.0
 
 
 def test_probe_respects_declared_bound():
-    spec = KernelSpec(family_K="constant", K_value=1.0, lam=None,
+    spec = KernelSpec(family_K="constant", K_value=1.0,
                       family_C="constant", C_value=2.0,
                       declared_bounds={"M_cal": 1.0})
     rep = probe_hypotheses(spec)

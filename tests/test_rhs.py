@@ -5,6 +5,7 @@ import pytest
 
 from dcasim.kernels import KernelSpec, discretize
 from dcasim.rhs import mass_defect_rate, rhs_vector
+from dcasim.runs import RunConfig, kernel_for_case
 
 from oracle import (FAMILY_PAIRS, ORACLE_KERNELS, constant_mass_defect_rate,
                     constant_sums, dense_mass_defect_rate, dense_sums, naive_rhs,
@@ -15,7 +16,7 @@ def _dk(spec, epsilon, m):
     return discretize(spec, small_grid(epsilon, m))
 
 
-CONST = KernelSpec(family_K="constant", K_value=1.0, lam=1.0)
+CONST = KernelSpec(family_K="constant", K_value=1.0, C_value=1.0)
 
 
 def test_hand_computed_two_cell_example():
@@ -47,10 +48,8 @@ def test_constant_path_bitwise_matches_reference():
     # the O(m) constant-kernel formula, values and rounding unchanged
     rng = np.random.default_rng(29)
     eps = 0.1
-    pairs = [(KernelSpec(family_K="constant", K_value=2.5, lam=lam), eps * 2.5, lam * (eps * 2.5))
-             for lam in (0.0, 0.5, 1.0)]
-    pairs.append((KernelSpec(family_K="constant", K_value=2.5, lam=None,
-                             family_C="constant", C_value=0.7), eps * 2.5, eps * 0.7))
+    pairs = [(KernelSpec(family_K="constant", K_value=2.5, C_value=cv), eps * 2.5, eps * cv)
+             for cv in (0.0, 0.5 * 2.5, 2.5, 0.7)]
     for spec, kval, cval in pairs:
         for m in (2, 5, 17, 64):
             dk = _dk(spec, eps, m)
@@ -89,7 +88,7 @@ def test_matches_naive_oracle_all_kernels():
 
 def test_lambda_zero_is_pure_forward_part():
     # with C = 0 only the K bracket survives
-    spec0 = KernelSpec(family_K="constant", K_value=1.0, lam=0.0)
+    spec0 = KernelSpec(family_K="constant", K_value=1.0, C_value=0.0)
     dk0 = _dk(spec0, 0.1, 8)
     assert np.all(dk0.Cd == 0.0)
     rng = np.random.default_rng(3)
@@ -104,19 +103,30 @@ def test_lambda_decomposition_is_affine():
     c = rng.random(12)
     qs = {}
     for lam in (0.0, 0.35, 1.0):
-        dk = _dk(KernelSpec(family_K="constant", K_value=1.0, lam=lam), 0.1, 12)
+        dk = _dk(KernelSpec(family_K="constant", K_value=1.0, C_value=lam), 0.1, 12)
         qs[lam] = rhs_vector(c, dk)
     expect = qs[0.0] + 0.35 * (qs[1.0] - qs[0.0])
     np.testing.assert_allclose(qs[0.35], expect, rtol=1e-12, atol=1e-15)
 
 
 def test_lambda_one_equals_independent_C_equals_K():
-    spec_ind = KernelSpec(family_K="constant", K_value=1.0, lam=None,
+    # case 1's own pair (C = 1 * K) is the pair C = K written out
+    spec_ind = KernelSpec(family_K="constant", K_value=1.0,
                           family_C="constant", C_value=1.0)
-    dk_lam = _dk(CONST, 0.1, 8)
+    dk_lam = _dk(kernel_for_case(RunConfig(case="case1")), 0.1, 8)
     dk_ind = _dk(spec_ind, 0.1, 8)
     c = np.linspace(0.1, 1.0, 8)
     np.testing.assert_array_equal(rhs_vector(c, dk_lam), rhs_vector(c, dk_ind))
+
+
+@pytest.mark.parametrize("family", ["product", "sum"])
+def test_kernel_value_scales_product_and_sum(family):
+    # K_value = 2 doubles every factor, so Q doubles exactly
+    c = np.random.default_rng(23).random(16)
+    q1, q2 = (rhs_vector(c, _dk(KernelSpec(family_K=family, K_value=L, C_value=0.0), 0.1, 16))
+              for L in (1.0, 2.0))
+    assert np.any(q1 != 0.0)
+    np.testing.assert_array_equal(q2, 2.0 * q1)
 
 
 def test_mass_defect_hand_example():

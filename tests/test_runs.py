@@ -1,6 +1,5 @@
 import pickle
 
-import numpy as np
 import pytest
 
 import dcasim.runs
@@ -20,12 +19,19 @@ def test_config_validation():
         RunConfig(epsilon_list=(0.05, 0.0))        # outside (0, 1)
     with pytest.raises(ValueError):
         RunConfig(snapshot_times=(-1.0, 1.0))
+    for bad in ({"x_max": float("inf")}, {"x_max": True}, {"rtol": float("nan")},
+                {"snapshot_times": (float("inf"),)}, {"epsilon_list": (0.1, False)},
+                {"snapshot_times": 1.0}):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
 
 
 def test_kernel_for_case():
-    assert kernel_for_case(RunConfig(case="case1")).lam == 1.0
-    assert kernel_for_case(RunConfig(case="case3")).lam == 0.0
-    assert kernel_for_case(RunConfig(case="case2", lam=0.75)).lam == 0.75
+    # each case runs K = 1 and a constant C = lam: 1, lam (default 1), 0
+    assert kernel_for_case(RunConfig(case="case1")) == KernelSpec(C_value=1.0)
+    assert kernel_for_case(RunConfig(case="case3")) == KernelSpec(C_value=0.0)
+    assert kernel_for_case(RunConfig(case="case2")) == KernelSpec(C_value=1.0)
+    assert kernel_for_case(RunConfig(case="case2", lam=0.75)) == KernelSpec(C_value=0.75)
     with pytest.raises(ValueError):
         RunConfig(case="custom")
     spec = KernelSpec(family_K="sum", family_C="sum")
@@ -127,18 +133,7 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
 
 def test_run_pickles_without_dense_matrices():
-    # what a sweep worker sends back to the parent: O(m), not the 64 MB of
-    # two m = 1999 kernel matrices
+    # a run holds O(m) data, not the 64 MB of two m = 1999 kernel matrices
     run = run_simulation(RunConfig(case="case1"), epsilon=0.005)
     assert len(pickle.dumps(run)) < 1_000_000
 
-
-def test_sweep_threads_match_serial():
-    cfg_base = dict(case="case1", epsilon_list=(0.2, 0.1),
-                    snapshot_times=(1.0,))
-    serial = run_sweep(RunConfig(threads=1, **cfg_base))
-    parallel = run_sweep(RunConfig(threads=2, **cfg_base))
-    assert serial.tables[1.0].rows == parallel.tables[1.0].rows
-    for eps in (0.2, 0.1):
-        np.testing.assert_array_equal(serial.runs[eps].snapshots[0].c,
-                                      parallel.runs[eps].snapshots[0].c)
