@@ -3,10 +3,10 @@
 from .analysis import (ConvergenceTable, ErrorReport, MomentBoundReport,
                        estimate_order, moment_diagnostics, rel_l1_error)
 from .exact import ExactCase, exact_solution, has_closed_form, initial_profile
-from .grid import Grid, build_grid, cell_of, r_eps
+from .grid import Grid, build_grid
 from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate
 from .kernels import (DiscreteKernel, HypothesisReport, KernelSpec, discretize,
-                      eval_C, eval_K, probe_hypotheses)
+                      probe_hypotheses)
 from .rhs import mass_defect_rate, rhs_vector
 from .runs import (RunConfig, SimulationRun, SweepResult, kernel_for_case,
                    run_simulation, run_sweep)

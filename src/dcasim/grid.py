@@ -59,29 +59,3 @@ def build_grid(epsilon: float, x_max: float = 10.0) -> Grid:
         raise ValueError(f"grid would have only {m} cells; need at least 3")
     return Grid(epsilon=epsilon, x_max=x_max, m=m)
 
-
-def cell_of(grid: Grid, x: float) -> int | None:
-    """Return the 1-based index of the cell containing ``x``, or ``None``.
-
-    ``None`` covers both the dust region ``[0, eps/2)`` and sizes beyond the
-    truncated domain.  Negative ``x`` is a domain error.
-    """
-    if x < 0.0:
-        raise ValueError(f"negative size x={x}")
-    if x < grid.lower or x >= grid.upper:
-        return None
-    i = int(math.floor(x / grid.epsilon + 0.5))
-    # Guard against roundoff at the right edge of the last cell.
-    return min(max(i, 1), grid.m)
-
-
-def r_eps(grid: Grid, x: float) -> float:
-    """Right endpoint of the cell containing ``x``.
-
-    Computed as ``floor(x/eps + 1/2) * eps + eps/2``; the same formula extends
-    past the truncated grid.  Satisfies ``|r_eps(x) - x| <= eps`` for ``x >= 0``.
-    """
-    if x < 0.0:
-        raise ValueError(f"negative size x={x}")
-    eps = grid.epsilon
-    return math.floor(x / eps + 0.5) * eps + 0.5 * eps

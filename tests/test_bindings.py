@@ -7,6 +7,10 @@ leaves the traced benchmark counting the wrong thing.  The lazy
 ``dcasim.analysis.brentq`` name is pinned in ``test_analysis.py``.
 """
 
+import importlib
+import pathlib
+import sys
+
 import numpy as np
 
 import dcasim.cli
@@ -40,3 +44,20 @@ def test_benchmark_bindings(monkeypatch):
     assert dk.Kd.shape == dk.Cd.shape == (6, 6)
     assert dcasim.cli.run_sweep is dcasim.runs.run_sweep
     assert dcasim.cli.run_simulation is dcasim.runs.run_simulation
+
+
+def test_benchmark_tracer_installs(monkeypatch):
+    # the traced benchmark patches each of its names in the dcasim modules that
+    # bind it; it raises (LookupError, or AttributeError for a renamed one) when
+    # one is no longer bound in a dcasim module
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    original = dcasim.rhs.rhs_vector
+    try:
+        tracer, _ = importlib.import_module("worker").install_tracer()
+        assert dcasim.integrator.rhs_vector is not original
+        tracer.unpatch()
+        assert dcasim.integrator.rhs_vector is dcasim.rhs.rhs_vector is original
+    finally:
+        for name in ("worker", "tracer", "workloads"):
+            sys.modules.pop(name, None)

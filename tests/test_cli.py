@@ -20,6 +20,8 @@ FAST_YAML = {
     "epsilon": 0.2,
     "snapshot_times": [0.5, 1.0],
 }
+# validate reads only case, lam and kernel, and rejects any other setting
+VALIDATE_YAML = {"case": "case1"}
 
 
 def _write_config(tmp_path, mapping, name="config.yaml"):
@@ -138,6 +140,8 @@ def test_kernel_block_overrides_case_kernels(tmp_path, capsys, case):
     assert "lam" not in header
     m1 = [float(row.split(",")[2]) for row in body_of(moments).splitlines()[1:]]
     assert m1[-1] < 0.1 * m1[0]
+    cfg = _write_config(tmp_path, {"case": case, "kernel": {"K": "product", "C": "product"}},
+                        name="validate.yaml")
     assert main(["validate", "--config", cfg]) == EXIT_OK
     assert "PASS  fast RHS matches direct summation" in capsys.readouterr().out
 
@@ -239,7 +243,7 @@ def test_sweep_single_epsilon_is_config_error(tmp_path):
 
 
 def test_validate_constant_kernels_all_pass(tmp_path, capsys):
-    cfg = _write_config(tmp_path, FAST_YAML)
+    cfg = _write_config(tmp_path, VALIDATE_YAML)
     assert main(["validate", "--config", cfg]) == EXIT_OK
     out = capsys.readouterr().out
     assert "FAIL" not in out
@@ -247,9 +251,7 @@ def test_validate_constant_kernels_all_pass(tmp_path, capsys):
 
 
 def test_validate_flags_product_kernel(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {
-        "case": "case1", "epsilon": 0.2,
-        "kernel": {"K": "product", "C": "product"}})
+    cfg = _write_config(tmp_path, {**VALIDATE_YAML, "kernel": {"K": "product", "C": "product"}})
     assert main(["validate", "--config", cfg]) == EXIT_OK
     out = capsys.readouterr().out
     assert "FAIL  sublinear growth of K (CH1)" in out
@@ -260,9 +262,32 @@ def test_validate_flags_product_kernel(tmp_path, capsys):
 
 
 def test_validate_custom_case_without_kernel_is_config_error(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"case": "custom", "epsilon": 0.2})
+    cfg = _write_config(tmp_path, {"case": "custom"})
     assert main(["validate", "--config", cfg]) == EXIT_CONFIG
     assert "unknown case 'custom'" in capsys.readouterr().err
+
+
+def test_unbounded_C_is_unverified(tmp_path, capsys):
+    # C = x*y is unbounded, so CH2 fails: the run is tagged and validate says so
+    kernel = {"kernel": {"K": "constant", "C": "product"}}
+    cfg = _write_config(tmp_path, {**FAST_YAML, **kernel})
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
+    assert _header(os.path.join(out, "moments.csv"))["hypotheses"] == "hypotheses-unverified"
+    cfg = _write_config(tmp_path, {**VALIDATE_YAML, **kernel}, name="validate.yaml")
+    capsys.readouterr()
+    assert main(["validate", "--config", cfg]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "PASS  sublinear growth of K (CH1)" in out
+    assert "FAIL  uniform bound on C (CH2)" in out
+    assert "run would be tagged: hypotheses-unverified" in out
+
+
+def test_validate_prints_exact_conditions_and_self_checks(tmp_path, capsys):
+    assert main(["validate", "--case", "case1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  sublinear growth of K (CH1)", "PASS  uniform bound on C (CH2)",
+        "PASS  fast RHS matches direct summation", "PASS  weighted-sum boundary identity"]
 
 
 def test_repeat_simulate_is_byte_identical(tmp_path):
@@ -286,10 +311,8 @@ INVALID_SETTINGS = [
     ("simulate", {"case": "case2", "lam": 3}, "case2-lam=3"),
     ("simulate", {"case": "foo"}, "case=foo"),
     ("sweep", {"rtol": "abc"}, "rtol=abc"),
-    ("validate", {"negativity_policy": "bogus"}, "policy=bogus"),
     ("sweep", KERNEL_BLOCK, "case1-kernel"),
     ("simulate", {"case": "case2", "lam": 0.5, **KERNEL_BLOCK}, "case2-lam-kernel"),
-    ("validate", {"kernel": {"K": "product", "Lambda": 0.5}}, "kernel-unknown-key"),
     ("sweep", {"epsilon_list": [0.2, 0.2, 0.1]}, "repeated-epsilon"),
     ("simulate", {"lam": 0.3}, "case1-lam"),
     ("sweep", {"case": "case3", "lam": 0.3}, "case3-lam"),
@@ -300,21 +323,41 @@ INVALID_SETTINGS = [
     ("simulate", {"kernel": {"L": float("nan")}}, "kernel-L=nan"),
     ("simulate", {"x_max": True}, "x_max=true"),
     ("simulate", {"kernel": {"lambda": 0.5}}, "kernel-lambda"),
-    ("validate", {"kernel": {"declared_bounds": {"alpha": 1.0}}}, "kernel-unknown-bound"),
+    ("simulate", {"kernel": {"L": -1.0}}, "kernel-L<0"),
+]
+# (overrides of VALIDATE_YAML, id, the setting the message must name, *flags)
+INVALID_VALIDATE_SETTINGS = [
+    ({"negativity_policy": "bogus"}, "policy=bogus", "negativity_policy"),
+    ({"kernel": {"K": "product", "Lambda": 0.5}}, "kernel-unknown-key", "Lambda"),
+    ({"kernel": {"declared_bounds": {"alpha": 1.0}}}, "kernel-unknown-bound", "alpha"),
+    ({"kernel": {"C_value": -0.5}}, "kernel-C_value<0", "C_value"),
+    ({}, "flag-epsilon", "--epsilon", "--epsilon", "0.05"),
+    ({}, "flag-out", "--out", "--out", "out"),
+    ({"x_max": 20}, "x_max", "x_max"),
 ]
 
 
-@pytest.mark.parametrize("command, overrides, flags", [
-    pytest.param(command, overrides, flags, id=f"{command}-{name}")
-    for command, overrides, name, *flags in INVALID_SETTINGS])
-def test_invalid_setting_is_config_error(tmp_path, capsys, command, overrides, flags):
+@pytest.mark.parametrize("command, overrides, named, flags", [
+    *(pytest.param(command, overrides, None, flags, id=f"{command}-{name}")
+      for command, overrides, name, *flags in INVALID_SETTINGS),
+    *(pytest.param("validate", overrides, named, flags, id=f"validate-{name}")
+      for overrides, name, named, *flags in INVALID_VALIDATE_SETTINGS)])
+def test_invalid_setting_is_config_error(tmp_path, capsys, monkeypatch, command, overrides,
+                                         named, flags):
     # every setting is checked when the config loads, before any run starts
-    cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon_list": [0.2, 0.1], **overrides})
-    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]
+    monkeypatch.chdir(tmp_path)     # the validate "--out out" row names a relative path
+    if command == "validate":
+        cfg = _write_config(tmp_path, {**VALIDATE_YAML, **overrides})
+        argv = [command, "--config", cfg, *flags]
+    else:
+        cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon_list": [0.2, 0.1], **overrides})
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+    if named is not None:
+        assert named in err
     assert not os.path.exists(tmp_path / "out")
 
 
@@ -336,15 +379,23 @@ def test_uncreatable_output_dir_is_config_error(tmp_path, monkeypatch, capsys, c
 
 
 def _readme_yaml_blocks():
+    """(subcommand, block) for each YAML block: the text before it names its command."""
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
-    return re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.S | re.M)
+    blocks, start = [], 0
+    for block in re.finditer(r"^```yaml\n(.*?)^```", readme, flags=re.S | re.M):
+        commands = re.findall(r"`dcasim (\w+) --config ", readme[start:block.start()])
+        assert commands, f"no `dcasim <command> --config` before {block.group(1)!r}"
+        blocks.append((commands[-1], block.group(1)))
+        start = block.end()
+    return blocks
 
 
 def test_readme_yaml_blocks_validate(tmp_path):
-    # the documented configs must load and pass ``validate`` as written
+    # the documented configs must run as written, with the documented subcommand
     blocks = _readme_yaml_blocks()
-    assert blocks
-    for k, block in enumerate(blocks):
+    assert sorted(command for command, _ in blocks) == ["simulate", "sweep"]
+    for k, (command, block) in enumerate(blocks):
         path = tmp_path / f"readme_{k}.yaml"
         path.write_text(block)
-        assert main(["validate", "--config", str(path)]) == EXIT_OK, block
+        argv = [command, "--config", str(path), "--out", str(tmp_path / f"out_{k}")]
+        assert main(argv) == EXIT_OK, block

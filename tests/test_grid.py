@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dcasim.grid import Grid, build_grid, cell_of, r_eps
+from dcasim.grid import build_grid
 
 
 def test_cell_count_standard_ladder():
@@ -39,39 +39,6 @@ def test_edges_and_centers():
     assert g.upper == pytest.approx((g.m + 0.5) * 0.1)
     np.testing.assert_allclose(g.centers(), 0.1 * np.arange(1, g.m + 1))
     np.testing.assert_allclose(g.right_edges() - g.left_edges(), 0.1)
-
-
-def test_cell_of_interior_point():
-    g = build_grid(0.1, 10.0)
-    assert cell_of(g, 0.26) == 3          # 0.26 in [0.25, 0.35)
-    assert cell_of(g, 0.25) == 3          # half-open cells
-    assert cell_of(g, 0.36) == 4
-
-
-def test_cell_of_dust_and_beyond():
-    g = build_grid(0.1, 10.0)
-    assert g.m == 99
-    assert cell_of(g, 0.02) is None       # below the first cell
-    assert cell_of(g, 10.0) is None       # beyond truncation
-    assert cell_of(g, g.upper) is None
-
-
-def test_cell_of_negative_is_error():
-    g = build_grid(0.1, 10.0)
-    with pytest.raises(ValueError):
-        cell_of(g, -0.01)
-
-
-def test_r_eps_values():
-    g = build_grid(0.1, 10.0)
-    assert r_eps(g, 0.26) == pytest.approx(0.35)
-    assert r_eps(g, 0.0) == pytest.approx(0.05)
-
-
-def test_r_eps_within_eps_of_argument():
-    g = build_grid(0.1, 10.0)
-    for x in np.linspace(0.0, 12.0, 601):
-        assert abs(r_eps(g, float(x)) - x) <= g.epsilon + 1e-12
 
 
 def test_grid_is_immutable():
