@@ -70,9 +70,15 @@ class StepStats:
         }
 
 
-def _error_norm(err, y_old, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.max(np.abs(err) / scale))
+def _error_norm(err, y_old, y_new, rtol, atol, scale, work):
+    """``max |err| / (atol + rtol * max(|y_old|, |y_new|))``; overwrites ``err``,
+    ``scale`` and ``work``."""
+    np.maximum(np.abs(y_old, out=scale), np.abs(y_new, out=work), out=scale)
+    scale *= rtol
+    scale += atol
+    np.abs(err, out=err)
+    err /= scale
+    return float(err.max())
 
 
 def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
@@ -109,6 +115,7 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
 
     k = np.empty((7, y.size))
     stages = np.empty((6, y.size))   # stage states 1..6, reused by the defect quadrature
+    inc, err, scale, y_new = (np.empty_like(y) for _ in range(4))
     k[0] = rhs_vector(y, dk)
     stats.rhs_evals += 1
     err_prev = 1.0
@@ -123,12 +130,17 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
             raise IntegrationError(f"step size underflow at t={t}")
 
         for s in range(1, 7):
-            np.add(y, h * (_A_ROWS[s] @ k[:s]), out=stages[s - 1])
+            np.matmul(_A_ROWS[s], k[:s], out=inc)
+            inc *= h
+            np.add(y, inc, out=stages[s - 1])
             k[s] = rhs_vector(stages[s - 1], dk)
         stats.rhs_evals += 6
-        y_new = y + h * (_B5 @ k)
-        err = h * (_E @ k)
-        err_norm = _error_norm(err, y, y_new, cfg.rtol, cfg.atol)
+        np.matmul(_B5, k, out=inc)
+        inc *= h
+        np.add(y, inc, out=y_new)
+        np.matmul(_E, k, out=err)
+        err *= h
+        err_norm = _error_norm(err, y, y_new, cfg.rtol, cfg.atol, scale, inc)
         steps += 1
 
         if err_norm <= 1.0:
@@ -138,7 +150,9 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
             defect_int += h * float(_B5[:6] @ np.array(defect_stages))
 
             t = t + h
-            y, clamped = _clamp_negative(y_new)
+            # the old state's buffer takes the next step's candidate
+            y, y_new = y_new, y
+            y, clamped = _clamp_negative(y, dk.index)
             stats.clamped_mass += clamped * state0.grid.epsilon ** 2
             k[0] = k[6] if clamped == 0.0 else rhs_vector(y, dk)
             if clamped != 0.0:
@@ -165,11 +179,10 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
     return snapshots, stats
 
 
-def _clamp_negative(y):
-    if float(np.min(y)) >= 0.0:
+def _clamp_negative(y, index):
+    if float(y.min()) >= 0.0:
         return y, 0.0
     neg = y < 0.0
-    i1 = np.arange(1, y.size + 1, dtype=float)
-    clamped = float(np.sum(i1[neg] * (-y[neg])))
+    clamped = float(np.sum(index[neg] * (-y[neg])))
     y = np.where(neg, 0.0, y)
     return y, clamped

@@ -48,6 +48,9 @@ class KernelSpec:
     - ``M_cal``: uniform bound on C, condition CH2 (``probe_hypotheses``),
     - ``A1``, ``A2``: product-growth constants K <= A1*x*y, C <= A2*x*y,
     - ``K1``: product lower-bound constant K >= K1*x*y (both ``moment_diagnostics``).
+
+    A run (``RunConfig``) accepts ``M_cal`` only, since no run calls
+    ``moment_diagnostics``.
     """
 
     family_K: str = "constant"
@@ -81,7 +84,10 @@ class DiscreteKernel:
     ``Kd[i, j] = sum_r a_r[i] * columns[key_r][j]`` (``a_r`` a scalar or a
     vector; a ``None`` column is all ones), likewise ``C_factors`` for ``Cd``.
     The factors carry the grid factor eps, so the RHS applies no second one.
-    The O(m) RHS and defect rate read only the factors.
+    The O(m) RHS and defect rate read only the factors and what is derived
+    from them once here: ``index`` is ``1..m`` as floats, ``K_last`` the
+    last-row factors ``(a_r[m], key_r)`` and ``Cd_mm`` the entry ``Cd[m, m]``,
+    each rounded as the factor sums round them.
     """
 
     grid: Grid
@@ -89,6 +95,9 @@ class DiscreteKernel:
     K_factors: tuple
     C_factors: tuple
     columns: dict
+    index: np.ndarray
+    K_last: tuple
+    Cd_mm: float
 
     @property
     def Kd(self) -> np.ndarray:
@@ -130,8 +139,19 @@ def discretize(spec: KernelSpec, grid: Grid) -> DiscreteKernel:
     K_factors = _FACTORS[spec.family_K](grid.epsilon * spec.K_value, xs)
     C_factors = _FACTORS[spec.family_C](grid.epsilon * spec.C_value, xs)
     columns = {key: None if key == "1" else xs for _, key in K_factors + C_factors}
-    return DiscreteKernel(grid=grid, spec=spec, K_factors=K_factors,
-                          C_factors=C_factors, columns=columns)
+
+    def at_m(a):  # a row factor (scalar or vector) in row m
+        return float(np.broadcast_to(a, xs.shape)[-1])
+
+    # Cd[m, m] = sum_r a_r[m] * b_r[m], added in factor order as the factor sums add it
+    b_m = {"1": 1.0, "x": float(xs[-1])}
+    (a, key), *rest = C_factors
+    Cd_mm = at_m(a) * b_m[key]
+    for a, key in rest:
+        Cd_mm += at_m(a) * b_m[key]
+    return DiscreteKernel(grid=grid, spec=spec, K_factors=K_factors, C_factors=C_factors,
+                          columns=columns, index=np.arange(1, grid.m + 1, dtype=float),
+                          K_last=tuple((at_m(a), key) for a, key in K_factors), Cd_mm=Cd_mm)
 
 
 def probe_hypotheses(spec: KernelSpec) -> HypothesisReport:

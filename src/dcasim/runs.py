@@ -51,6 +51,11 @@ class RunConfig:
         if self.lam is not None and self.kernel is not None:
             raise ValueError("lam sets case 2's C = lam * K, which a kernel block replaces; "
                              "give one or the other")
+        bounds = self.kernel.declared_bounds if self.kernel is not None else {}
+        unread = sorted(set(bounds) - {"M_cal"})
+        if unread:
+            raise ValueError(f"declared_bounds {', '.join(unread)} feed only the library's "
+                             f"moment_diagnostics, which no run calls; a run reads M_cal only")
         if self.M is not None and self.case != "case3":
             raise ValueError(f"M applies to case 'case3' only; "
                              f"case {self.case!r} starts from x*exp(-x)")

@@ -6,7 +6,9 @@ directly from the kernel closed forms, a direct weak-form double loop, and a
 fixed-step classical RK4 reference integrator.  The two RHS evaluations the
 package used before its separable-factor path are kept as references too:
 the O(m^2) row-cumulative sums over the dense matrices, and the O(m)
-prefix-sum formula for constant kernels.  The vectorised weak-form rate over
+prefix-sum formula for constant kernels.  The allocating separable-factor RHS
+and defect rate that the package ran before its buffer-reusing ones are kept
+too; the package's must equal them bit for bit.  The vectorised weak-form rate over
 the dense matrices lives here as well; no package code calls it.  The scalar relative-L1 error
 measurement the package used before its vectorised one is kept as well: one
 closed-form call per probe and per Simpson node, and a ``brentq`` solve per
@@ -109,6 +111,45 @@ def constant_sums(c: np.ndarray, kval: float, cval: float):
     G = cval * (pre_jc[-1] - pre_jc + jc)
     Z = cval * pre_c
     return A, W, G, Z
+
+
+def _reference_combine(factors, sums):
+    """``sum_r a_r * sums[key_r]`` over the separable factors."""
+    (a, key), *rest = factors
+    out = a * sums[key]
+    for a, key in rest:
+        out += a * sums[key]
+    return out
+
+
+def reference_rhs_vector(c: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
+    """The separable-factor RHS with a fresh array per intermediate."""
+    jc = np.arange(1, c.size + 1, dtype=float) * c
+    pre_jc, suf_jc, pre_c, suf_c = {}, {}, {}, {}
+    for key, b in dk.columns.items():
+        bjc, bc = (jc, c) if b is None else (b * jc, b * c)
+        pre_jc[key], pre_c[key] = np.cumsum(bjc), np.cumsum(bc)
+        suf_jc[key] = pre_jc[key][-1] - pre_jc[key] + bjc
+        suf_c[key] = pre_c[key][-1] - pre_c[key] + bc
+    flux = c * (_reference_combine(dk.K_factors, pre_jc)
+                + _reference_combine(dk.C_factors, suf_jc))
+    Q = np.empty_like(c)
+    Q[0] = -flux[0]
+    Q[1:] = flux[:-1] - flux[1:]
+    Q -= c * (_reference_combine(dk.K_factors, suf_c) + _reference_combine(dk.C_factors, pre_c))
+    return Q
+
+
+def reference_mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
+    """The boundary defect rate read off the last entries of full factor sums."""
+    m = c.size
+    jc = np.arange(1, m + 1, dtype=float) * c
+    col_jc = {key: float(np.sum(jc if b is None else b * jc)) for key, b in dk.columns.items()}
+    col_m = {key: 1.0 if b is None else b[-1] for key, b in dk.columns.items()}
+    A_m = np.atleast_1d(_reference_combine(dk.K_factors, col_jc))[-1]
+    C_mm = np.atleast_1d(_reference_combine(dk.C_factors, col_m))[-1]
+    cm = float(c[-1])
+    return float(-(m + 1) * cm * A_m - m * (m + 1) * C_mm * cm * cm)
 
 
 def rhs_from_sums(c: np.ndarray, A, W, G, Z) -> np.ndarray:

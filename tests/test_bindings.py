@@ -40,6 +40,17 @@ def test_benchmark_bindings(monkeypatch):
     _, stats = integrate(DiscreteState(grid, np.linspace(1.0, 0.1, 6)), dk,
                          IntegratorConfig(), [0.5])
     assert len(calls) == stats.rhs_evals > 0
+    # traced mass_defect_rate calls must be six per accepted step
+    defect_calls = []
+
+    def counted_defect(c, dk):
+        defect_calls.append(None)
+        return dcasim.rhs.mass_defect_rate(c, dk)
+
+    monkeypatch.setattr(dcasim.integrator, "mass_defect_rate", counted_defect)
+    _, stats = integrate(DiscreteState(grid, np.linspace(1.0, 0.1, 6)), dk,
+                         IntegratorConfig(), [0.5])
+    assert len(defect_calls) == 6 * stats.accepted > 0
     # kernels.dense_bytes is read as Kd.nbytes + Cd.nbytes
     assert dk.Kd.shape == dk.Cd.shape == (6, 6)
     assert dcasim.cli.run_sweep is dcasim.runs.run_sweep

@@ -324,6 +324,8 @@ INVALID_SETTINGS = [
     ("simulate", {"x_max": True}, "x_max=true"),
     ("simulate", {"kernel": {"lambda": 0.5}}, "kernel-lambda"),
     ("simulate", {"kernel": {"L": -1.0}}, "kernel-L<0"),
+    *(("simulate", {"kernel": {"declared_bounds": {key: 1.0}}}, f"kernel-{key}")
+      for key in ("A1", "A2", "K1")),
 ]
 # (overrides of VALIDATE_YAML, id, the setting the message must name, *flags)
 INVALID_VALIDATE_SETTINGS = [
@@ -331,6 +333,8 @@ INVALID_VALIDATE_SETTINGS = [
     ({"kernel": {"K": "product", "Lambda": 0.5}}, "kernel-unknown-key", "Lambda"),
     ({"kernel": {"declared_bounds": {"alpha": 1.0}}}, "kernel-unknown-bound", "alpha"),
     ({"kernel": {"C_value": -0.5}}, "kernel-C_value<0", "C_value"),
+    *(({"kernel": {"declared_bounds": {"M_cal": 2.0, key: 1.0}}}, f"kernel-{key}", key)
+      for key in ("A1", "A2", "K1")),
     ({}, "flag-epsilon", "--epsilon", "--epsilon", "0.05"),
     ({}, "flag-out", "--out", "--out", "out"),
     ({"x_max": 20}, "x_max", "x_max"),

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from dcasim.runs import RunConfig, kernel_for_case
 
 from oracle import (FAMILY_PAIRS, ORACLE_KERNELS, constant_mass_defect_rate,
                     constant_sums, dense_mass_defect_rate, dense_sums, naive_rhs,
-                    naive_weak_form, rhs_from_sums, small_grid, weak_form_rate)
+                    naive_weak_form, reference_mass_defect_rate, reference_rhs_vector,
+                    rhs_from_sums, small_grid, weak_form_rate)
 
 
 def _dk(spec, epsilon, m):
@@ -57,6 +59,34 @@ def test_constant_path_bitwise_matches_reference():
             ref = rhs_from_sums(c, *constant_sums(c, kval, cval))
             np.testing.assert_array_equal(rhs_vector(c, dk), ref)
             assert mass_defect_rate(c, dk) == constant_mass_defect_rate(c, kval, cval)
+
+
+@pytest.mark.parametrize("spec", [
+    *FAMILY_PAIRS, *(dataclasses.replace(spec, C_value=0.0) for spec in FAMILY_PAIRS)],
+    ids=lambda spec: f"{spec.family_K}-{spec.family_C}-C{spec.C_value:g}")
+def test_buffer_reusing_path_bitwise_matches_allocating_reference(spec):
+    # the same operations in the same order, only written into reused buffers
+    rng = np.random.default_rng(37)
+    for m in (2, 3, 17, 2000):
+        dk = _dk(spec, float(rng.uniform(0.005, 0.4)), m)
+        for c in (rng.random(m), rng.random(m) - 0.3, -rng.random(m)):
+            np.testing.assert_array_equal(rhs_vector(c, dk), reference_rhs_vector(c, dk))
+            assert mass_defect_rate(c, dk) == reference_mass_defect_rate(c, dk), (spec, m)
+
+
+def test_mass_defect_rate_memory():
+    # one m-vector (j * c) and no more, for the two-column sum kernel as well
+    m = 2000
+    c = np.random.default_rng(41).random(m)
+    for family in ("constant", "product", "sum"):
+        dk = _dk(KernelSpec(family_K=family, family_C=family), 0.005, m)
+        tracemalloc.start()
+        try:
+            mass_defect_rate(c, dk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * m, family
 
 
 @pytest.mark.parametrize("family", ["product", "sum"])
