@@ -6,7 +6,7 @@ parameter has a documented default (domain [0, 10], epsilon ladder
 `#`-prefixed metadata headers; plots are left to external tooling.
 
 Exit codes: 0 success, 2 configuration error, 3 integrator failure,
-4 validation failure.
+4 validation failure (a simulated state outside the a-priori bounds).
 """
 
 from __future__ import annotations
@@ -16,16 +16,13 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
 import yaml
 
 from .exact import CASE_IDS
-from .grid import build_grid
 from .integrator import IntegrationError
-from .kernels import KernelSpec, discretize, probe_hypotheses
+from .kernels import KernelSpec, probe_hypotheses
 from .output import (ensure_dir, snapshot_filename, write_error_table_csv,
                      write_moments_csv, write_snapshot_csv)
-from .rhs import mass_defect_rate, rhs_vector
 from .runs import (RunConfig, config_metadata, kernel_for_case, run_simulation, run_sweep,
                    sweep_case)
 from .state import AprioriBoundError
@@ -149,65 +146,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _naive_rhs_small(c, Kd, Cd):
-    # Literal transcription of the per-cell balance, no shared subexpressions;
-    # used only as the self-test reference at small m.
-    m = len(c)
-    out = []
-    for i in range(1, m + 1):
-        gain_k = 0.0
-        if i >= 2:
-            for j in range(1, i):
-                gain_k += j * Kd[i - 2][j - 1] * c[j - 1]
-            gain_k *= c[i - 2]
-        loss_k1 = c[i - 1] * sum(j * Kd[i - 1][j - 1] * c[j - 1] for j in range(1, i + 1))
-        loss_k2 = c[i - 1] * sum(Kd[i - 1][j - 1] * c[j - 1] for j in range(i, m + 1))
-        gain_c = 0.0
-        if i >= 2:
-            for j in range(i - 1, m + 1):
-                gain_c += j * Cd[i - 2][j - 1] * c[j - 1]
-            gain_c *= c[i - 2]
-        loss_c1 = c[i - 1] * sum(j * Cd[i - 1][j - 1] * c[j - 1] for j in range(i, m + 1))
-        loss_c2 = c[i - 1] * sum(Cd[i - 1][j - 1] * c[j - 1] for j in range(1, i + 1))
-        out.append(gain_k - loss_k1 - loss_k2 + gain_c - loss_c1 - loss_c2)
-    return np.array(out)
-
-
 def cmd_validate(args) -> int:
+    """Print the kernel pair's growth conditions CH1 and CH2, and the tag a run would get."""
     cfg = _load_config(args, reads=_VALIDATE_READS)
-    spec = kernel_for_case(cfg)
-    probe = probe_hypotheses(spec)
-    checks = {
-        "sublinear growth of K (CH1)": probe.ch1_pass,
-        "uniform bound on C (CH2)": probe.ch2_pass,
-    }
-
-    rng = np.random.default_rng(42)
-    rhs_ok, defect_ok = True, True
-    for _ in range(50):
-        m = int(rng.integers(3, 17))
-        grid = build_grid(0.3, x_max=0.3 * (m + 0.5) + 1e-9)
-        dk = discretize(spec, grid)
-        c = rng.random(dk.grid.m)
-        q = rhs_vector(c, dk)
-        q_ref = _naive_rhs_small(list(c), dk.Kd.tolist(), dk.Cd.tolist())
-        scale = max(1.0, float(np.max(np.abs(q_ref))))
-        if float(np.max(np.abs(q - q_ref))) > 1e-13 * scale:
-            rhs_ok = False
-        i1 = np.arange(1, dk.grid.m + 1)
-        lhs = float(i1 @ q)
-        d = mass_defect_rate(c, dk)
-        if abs(lhs - d) > 1e-12 * (1.0 + abs(lhs)):
-            defect_ok = False
-    checks["fast RHS matches direct summation"] = rhs_ok
-    checks["weighted-sum boundary identity"] = defect_ok
-
-    hard_failures = not (rhs_ok and defect_ok)
-    for name, ok in checks.items():
+    probe = probe_hypotheses(kernel_for_case(cfg))
+    for name, ok in (("sublinear growth of K (CH1)", probe.ch1_pass),
+                     ("uniform bound on C (CH2)", probe.ch2_pass)):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     if not (probe.ch1_pass and probe.ch2_pass):
         print("run would be tagged: hypotheses-unverified")
-    return EXIT_VALIDATION if hard_failures else EXIT_OK
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

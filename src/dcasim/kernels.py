@@ -43,7 +43,7 @@ class KernelSpec:
     """Closed-form kernel pair: K is ``family_K`` scaled by ``K_value``, C is
     ``family_C`` scaled by ``C_value``; both values must be nonnegative.
 
-    ``declared_bounds`` carries optional growth constants, by key:
+    ``declared_bounds`` carries optional nonnegative growth constants, by key:
 
     - ``M_cal``: uniform bound on C, condition CH2 (``probe_hypotheses``),
     - ``A1``, ``A2``: product-growth constants K <= A1*x*y, C <= A2*x*y,
@@ -67,13 +67,13 @@ class KernelSpec:
         if unknown:
             raise ValueError(f"unknown declared bounds {', '.join(sorted(map(str, unknown)))}; "
                              f"known: {', '.join(BOUND_KEYS)}")
-        for name in ("K_value", "C_value"):
-            value = finite_float(name, getattr(self, name))
-            if value < 0.0:
+        bounds = self.declared_bounds   # bounds on nonnegative kernels, so nonnegative too
+        for name, value in (("K_value", self.K_value), ("C_value", self.C_value), *bounds.items()):
+            if finite_float(name, value) < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "declared_bounds", {
-            key: finite_float(key, value) for key, value in self.declared_bounds.items()})
+        for name in ("K_value", "C_value"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "declared_bounds", {k: float(v) for k, v in bounds.items()})
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ class DiscreteKernel:
     def Kd(self) -> np.ndarray:
         """Dense ``Kd[i-1, j-1] = eps * K(eps*i, eps*j)``, built on every access.
 
-        O(m^2) time and memory, and deliberately not cached: meant for the
-        ``validate`` self-check at small m and for tests.
+        O(m^2) time and memory, and deliberately not cached: no run reads it;
+        it is for tests and for the benchmark's ``dense_bytes`` count.
         """
         return self._dense(self.spec.family_K, self.spec.K_value)
 

@@ -79,8 +79,11 @@ def kernel_for_case(cfg: RunConfig) -> KernelSpec:
 
 
 def exact_case_for(cfg: RunConfig) -> ExactCase:
+    """The case's initial profile and closed form; case 3's M is ``ExactCase``'s unless set."""
     lam = _case2_lam(cfg) if cfg.case == "case2" else None
-    return ExactCase(cfg.case, M=_case3_M(cfg), lam=lam)
+    if cfg.M is None:
+        return ExactCase(cfg.case, lam=lam)
+    return ExactCase(cfg.case, M=cfg.M, lam=lam)
 
 
 def _case2_lam(cfg: RunConfig) -> float:
@@ -88,16 +91,11 @@ def _case2_lam(cfg: RunConfig) -> float:
     return cfg.lam if cfg.lam is not None else 1.0
 
 
-def _case3_M(cfg: RunConfig) -> float:
-    """Case 3 starts from the uniform profile on [0, M] at M = 3 unless ``M`` is set."""
-    return cfg.M if cfg.M is not None else 3.0
-
-
 def config_metadata(cfg: RunConfig, resolution: dict, kernel: dict | None = None) -> dict:
     """Header lines for the settings a run used, the case parameter included."""
     md = {"case": cfg.case}
     if cfg.case == "case3":
-        md["M"] = _case3_M(cfg)
+        md["M"] = exact_case_for(cfg).M
     elif cfg.case == "case2" and cfg.kernel is None:
         md["lam"] = _case2_lam(cfg)
     return {**md, **resolution, "x_max": cfg.x_max, **(kernel or {}),
@@ -176,6 +174,8 @@ def sweep_case(cfg: RunConfig) -> ExactCase:
     """The closed-form case a sweep of ``cfg`` measures against; ValueError if none."""
     if len(cfg.epsilon_list) < 2:
         raise ValueError("sweep needs at least 2 epsilon values")
+    if not cfg.snapshot_times:
+        raise ValueError("sweep needs at least one snapshot time")
     if cfg.kernel is not None:
         raise ValueError("sweep measures against the closed form of the case's own kernels; "
                          "a kernel block replaces them")

@@ -77,7 +77,8 @@ def test_lambda_out_of_range_rejected():
     {"K_value": float("nan")}, {"C_value": float("inf")}, {"K_value": True},
     {"C_value": "2"}, {"declared_bounds": {"M_cal": float("nan")}},
     {"declared_bounds": {"alpha": 1.0}}, {"declared_bounds": {"K2": 1.0}},
-    {"K_value": -1.0}, {"C_value": -0.5}, {"K_value": -1e-300}])
+    {"K_value": -1.0}, {"C_value": -0.5}, {"K_value": -1e-300},
+    {"declared_bounds": {"M_cal": -1.0}}, {"declared_bounds": {"A1": -1e-300}}])
 def test_kernel_settings_rejected(bad):
     with pytest.raises(ValueError):
         KernelSpec(**bad)

@@ -104,16 +104,29 @@ def test_rhs_memory_linear_in_m(family):
     assert peak < 1_000_000
 
 
-def test_matches_naive_oracle_all_kernels():
-    rng = np.random.default_rng(11)
+def _naive_oracle_states(rng):
+    """(spec, eps, c): the oracle kernels at random eps, then every family pair,
+    the mixed ones included, at eps = 0.3 with 3..16 cells, five states each."""
     for spec in ORACLE_KERNELS:
         for m in (2, 3, 9, 24):
             eps = float(rng.uniform(0.05, 0.4))
-            dk = _dk(spec, eps, m)
-            c = rng.random(m)
-            ref = naive_rhs(list(c), spec, eps)
-            scale = max(1.0, float(np.max(np.abs(ref))))
-            assert np.max(np.abs(rhs_vector(c, dk) - ref)) <= 1e-13 * scale
+            yield spec, eps, rng.random(m)
+    for spec in FAMILY_PAIRS:
+        for m in range(3, 17):
+            for _ in range(5):
+                yield spec, 0.3, rng.random(m)
+
+
+def test_matches_naive_oracle_all_kernels():
+    for spec, eps, c in _naive_oracle_states(np.random.default_rng(11)):
+        dk = _dk(spec, eps, c.size)
+        q = rhs_vector(c, dk)
+        ref = naive_rhs(list(c), spec, eps)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(q - ref)) <= 1e-13 * scale, (spec, eps, c.size)
+        weighted = float(np.arange(1, c.size + 1) @ q)    # sum_i i * Q_i, the defect rate D
+        err = abs(weighted - mass_defect_rate(c, dk))
+        assert err <= 1e-12 * (1.0 + abs(weighted)), (spec, eps, c.size)
 
 
 def test_lambda_zero_is_pure_forward_part():
