@@ -10,7 +10,6 @@ from .kernels import (DiscreteKernel, HypothesisReport, KernelSpec, discretize,
 from .rhs import mass_defect_rate, rhs_vector
 from .runs import (RunConfig, SimulationRun, SweepResult, kernel_for_case,
                    run_simulation, run_sweep)
-from .state import (DiscreteState, MomentSeries, ProjectionLoss, StepFunction,
-                    moment, project_initial, reconstruct)
+from .state import DiscreteState, MomentSeries, ProjectionLoss, moment, project_initial
 
 __version__ = "0.1.0"

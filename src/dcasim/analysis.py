@@ -8,7 +8,7 @@ import numpy as np
 
 from .exact import ExactCase, breakpoints, exact_solution, has_closed_form
 from .kernels import KernelSpec
-from .state import MomentSeries, StepFunction, _integrate_cells
+from .state import DiscreteState, MomentSeries, _integrate_cells
 
 _ROOT_TOL = 1e-10
 _PROBES = 8  # equispaced sign probes per piece
@@ -56,16 +56,16 @@ class MomentBoundReport:
     violations: list
 
 
-def _pieces(sf: StepFunction, breaks: tuple[float, ...]):
-    """Arrays ``(a, b, v)``: the step function is ``v`` on each piece [a, b].
+def _pieces(state: DiscreteState, breaks: tuple[float, ...]):
+    """Arrays ``(a, b, v)``: the state's step function is ``v`` on each piece [a, b].
 
     The pieces are the dust cell [0, eps/2), the m cells and the tail beyond
     the last cell (value 0 outside the cells), each split at ``breaks``.
     """
-    grid = sf.grid
+    grid = state.grid
     a = [[0.0], grid.left_edges()]
     b = [[grid.lower], grid.right_edges()]
-    v = [[0.0], np.asarray(sf.values, dtype=float)]
+    v = [[0.0], state.c]
     if grid.x_max > grid.upper:
         a.append([grid.upper])
         b.append([grid.x_max])
@@ -94,24 +94,25 @@ def _bisect(diff, lo: np.ndarray, hi: np.ndarray, side: np.ndarray) -> np.ndarra
     return lo
 
 
-def rel_l1_error(sf: StepFunction, case: ExactCase, t: float) -> ErrorReport:
-    """Relative L1 distance between a step function and the reference solution.
+def rel_l1_error(state: DiscreteState, case: ExactCase) -> ErrorReport:
+    """Relative L1 distance between a state and the reference solution at ``state.t``.
 
-    Both norms are taken over [0, x_max]; the step function is zero on the
-    dust region and beyond the last cell, and those stretches contribute to
-    the numerator.  Every piece of the step function is split at the
-    reference solution's breakpoints and at the sign changes of the
+    Both norms are taken over [0, x_max]; the state's step function is zero
+    on the dust region and beyond the last cell, and those stretches
+    contribute to the numerator.  Every piece of the step function is split
+    at the reference solution's breakpoints and at the sign changes of the
     difference found between ``_PROBES + 1`` equispaced probes, so each
     Simpson piece integrates a smooth, single-signed integrand and the
     absolute value can be taken outside.
     """
     if not has_closed_form(case):
         raise ValueError(f"{case.id} with lambda={case.lam} has no closed form")
+    t = state.t
     f = lambda x: exact_solution(case, t, x)
-    a, b, v = _pieces(sf, breakpoints(case, t))
+    a, b, v = _pieces(state, breakpoints(case, t))
     denominator = float(np.sum(_integrate_cells(f, a, b, _PANELS)))
     if denominator <= 0.0:
-        raise ValueError(f"reference solution has no mass on [0, {sf.grid.x_max}] at t={t}")
+        raise ValueError(f"reference solution has no mass on [0, {state.grid.x_max}] at t={t}")
 
     probes = np.linspace(a, b, _PROBES + 1, axis=1)
     d = f(probes) - v[:, None]
@@ -132,7 +133,7 @@ def rel_l1_error(sf: StepFunction, case: ExactCase, t: float) -> ErrorReport:
     lo, hi, val = x[:-1][sub], x[1:][sub], v[row[:-1][sub]]
     numerator = float(np.sum(np.abs(
         _integrate_cells(lambda x: f(x) - val[:, None], lo, hi, _PANELS))))
-    return ErrorReport(epsilon=sf.grid.epsilon, t=t, E1=numerator / denominator,
+    return ErrorReport(epsilon=state.grid.epsilon, t=t, E1=numerator / denominator,
                        numerator=numerator, denominator=denominator)
 
 

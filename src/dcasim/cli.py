@@ -21,8 +21,8 @@ import yaml
 from .exact import CASE_IDS
 from .integrator import IntegrationError
 from .kernels import KernelSpec, probe_hypotheses
-from .output import (ensure_dir, snapshot_filename, write_error_table_csv,
-                     write_moments_csv, write_snapshot_csv)
+from .output import (snapshot_filename, write_error_table_csv, write_moments_csv,
+                     write_snapshot_csv)
 from .runs import (RunConfig, config_metadata, kernel_for_case, run_simulation, run_sweep,
                    sweep_case)
 from .state import AprioriBoundError
@@ -104,9 +104,10 @@ def _load_config(args, reads=None) -> RunConfig:
 def _output_dir(path: str) -> str:
     """Create the output directory; called before any integration starts."""
     try:
-        return ensure_dir(path)
+        os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return path
 
 
 def cmd_simulate(args) -> int:
@@ -130,10 +131,10 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     try:
         sweep_case(cfg)
-        out = _output_dir(cfg.output_dir)
-        result = run_sweep(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    out = _output_dir(cfg.output_dir)
+    result = run_sweep(cfg)
     md = config_metadata(cfg, {"epsilon_list": list(cfg.epsilon_list)})
     for t, table in result.tables.items():
         path = os.path.join(out, f"errors_t{t:g}.csv")

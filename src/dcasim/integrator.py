@@ -35,6 +35,8 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _FAC_MIN, _FAC_MAX = 0.2, 5.0
 _SAFETY = 0.9
+# Accepted plus rejected steps one integration may take.
+_MAX_STEPS = 1_000_000
 
 
 class IntegrationError(RuntimeError):
@@ -45,7 +47,6 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     rtol: float = 1e-6
     atol: float = 1e-10
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -122,8 +123,8 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
 
     steps = 0
     while queue:
-        if steps >= cfg.max_steps:
-            raise IntegrationError(f"exceeded max_steps={cfg.max_steps} at t={t}")
+        if steps >= _MAX_STEPS:
+            raise IntegrationError(f"exceeded {_MAX_STEPS} steps at t={t}")
         target = queue[0]
         h = min(h, h_max, target - t)
         if h < 1e-14 * max(1.0, abs(t)):

@@ -7,10 +7,8 @@ configs produce byte-identical files.
 
 from __future__ import annotations
 
-import os
-
 from .analysis import ConvergenceTable, estimate_order
-from .state import DiscreteState, MomentSeries, reconstruct
+from .state import DiscreteState, MomentSeries
 
 
 def _metadata_lines(md: dict) -> list[str]:
@@ -18,15 +16,15 @@ def _metadata_lines(md: dict) -> list[str]:
 
 
 def write_snapshot_csv(path: str, state: DiscreteState, metadata: dict):
-    """One row per cell: center, concentration, reconstructed density."""
-    sf = reconstruct(state)
+    """One row per cell: center, concentration ``c_i``, step-function density (also ``c_i``)."""
     centers = state.grid.centers()
     with open(path, "w") as fh:
         for line in _metadata_lines({"t": state.t, **metadata}):
             fh.write(line + "\n")
         fh.write("x_center,c_i,f_eps\n")
-        for x, c, v in zip(centers, state.c, sf.values):
-            fh.write(f"{float(x)!r},{float(c)!r},{float(v)!r}\n")
+        for x, c in zip(centers, state.c):
+            v = repr(float(c))
+            fh.write(f"{float(x)!r},{v},{v}\n")
 
 
 def write_moments_csv(path: str, series: MomentSeries, metadata: dict):
@@ -59,16 +57,5 @@ def write_error_table_csv(path: str, table: ConvergenceTable, metadata: dict,
             fh.write(f"{eps!r},{table.t!r},{err!r},{order}\n")
 
 
-def body_of(path: str) -> str:
-    """CSV content with the `#` metadata header stripped."""
-    with open(path) as fh:
-        return "".join(line for line in fh if not line.startswith("#"))
-
-
 def snapshot_filename(t: float) -> str:
     return f"snapshot_t{t:g}.csv"
-
-
-def ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path

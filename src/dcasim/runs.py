@@ -4,13 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .analysis import ConvergenceTable, rel_l1_error
 from .exact import ExactCase, has_closed_form, initial_profile
 from .grid import build_grid
 from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate
 from .kernels import DiscreteKernel, KernelSpec, discretize, finite_float, probe_hypotheses
 from .state import (AprioriBoundError, DiscreteState, MomentSeries,
-                    ProjectionLoss, check_apriori_bounds, project_initial, reconstruct,
+                    ProjectionLoss, check_apriori_bounds, project_initial,
                     weighted_initial_norm)
 
 DEFAULT_EPSILON_LADDER = (0.05, 0.01, 0.005)
@@ -45,6 +47,7 @@ class RunConfig:
             raise ValueError("epsilon_list must be strictly decreasing")
         if any(t < 0.0 for t in self.snapshot_times):
             raise ValueError("snapshot times must be nonnegative")
+        self.snapshot_times = tuple(sorted(set(self.snapshot_times)))
         if self.lam is not None and self.case != "case2":
             raise ValueError(f"lam applies to case 'case2' only; "
                              f"case {self.case!r} runs its own kernel")
@@ -148,8 +151,7 @@ def run_simulation(cfg: RunConfig, epsilon: float | None = None) -> SimulationRu
     probe = probe_hypotheses(spec)
     verified = probe.ch1_pass and probe.ch2_pass
 
-    snap_times = sorted(set(cfg.snapshot_times))
-    snapshots, stats = integrate(state0, dk, cfg.integrator_config(), snap_times)
+    snapshots, stats = integrate(state0, dk, cfg.integrator_config(), cfg.snapshot_times)
 
     moments = MomentSeries()
     moments.append(state0, 0.0)
@@ -182,13 +184,17 @@ def sweep_case(cfg: RunConfig) -> ExactCase:
     case = exact_case_for(cfg)
     if not has_closed_form(case):
         raise ValueError("sweep requires a case with a closed-form solution")
+    # rel_l1_error raises when the closed form has no mass on [0, x_max]
+    grid = build_grid(cfg.epsilon_list[0], cfg.x_max)
+    for t in cfg.snapshot_times:
+        rel_l1_error(DiscreteState(grid, np.zeros(grid.m), t), case)
     return case
 
 
 def run_sweep(cfg: RunConfig) -> SweepResult:
     """Run the epsilon ladder and tabulate errors against the closed form."""
     case = sweep_case(cfg)
-    tables = {t: ConvergenceTable(t=t) for t in sorted(set(cfg.snapshot_times))}
+    tables = {t: ConvergenceTable(t=t) for t in cfg.snapshot_times}
     runs, failures = {}, {}
     for eps in cfg.epsilon_list:
         try:
@@ -197,5 +203,5 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
             failures[eps] = f"{type(exc).__name__}: {exc}"
             continue
         for st in run.snapshots:
-            tables[st.t].add(rel_l1_error(reconstruct(st), case, st.t))
+            tables[st.t].add(rel_l1_error(st, case))
     return SweepResult(tables=tables, runs=runs, failures=failures)

@@ -1,4 +1,4 @@
-"""Concentration vectors, initial-data projection, reconstruction, moments."""
+"""Concentration vectors, initial-data projection, moments."""
 
 from __future__ import annotations
 
@@ -20,7 +20,11 @@ class AprioriBoundError(RuntimeError):
 
 @dataclass
 class DiscreteState:
-    """Per-cell concentrations ``c_i`` at time ``t`` (``c_0 = 0`` implicitly)."""
+    """Per-cell concentrations ``c_i`` at time ``t`` (``c_0 = 0`` implicitly).
+
+    As a density it is the step function of the convergence proof: ``c_i`` on
+    cell i, zero on the dust cell [0, eps/2) and beyond the last cell.
+    """
 
     grid: Grid
     c: np.ndarray
@@ -30,24 +34,6 @@ class DiscreteState:
         self.c = np.asarray(self.c, dtype=float)
         if self.c.shape != (self.grid.m,):
             raise ValueError(f"expected {self.grid.m} concentrations, got shape {self.c.shape}")
-
-
-@dataclass
-class StepFunction:
-    """Piecewise-constant density: value ``values[i-1]`` on cell i, 0 outside."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise ValueError("negative size")
-        idx = np.floor(x / self.grid.epsilon + 0.5).astype(int)
-        inside = (x >= self.grid.lower) & (x < self.grid.upper)
-        idx = np.clip(idx, 1, self.grid.m)
-        out = np.where(inside, self.values[idx - 1], 0.0)
-        return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -120,16 +106,11 @@ def project_initial(f_in, grid: Grid):
     return DiscreteState(grid, c, t=0.0), ProjectionLoss(dust=dust, tail=tail)
 
 
-def reconstruct(state: DiscreteState) -> StepFunction:
-    """Step-function reconstruction of the state."""
-    return StepFunction(state.grid, state.c.copy())
-
-
 def moment(state: DiscreteState, r: float, scaled: bool = True) -> float:
     """Moment of order ``r``.
 
     Scaled (default): ``eps^(r+1) * sum i^r c_i``, the continuous moment of the
-    reconstructed step function at cell centers.  Unscaled: the sequence-space
+    state's step function at cell centers.  Unscaled: the sequence-space
     norm ``sum i^r c_i``.
     """
     if r < 0:

@@ -12,7 +12,8 @@ too; the package's must equal them bit for bit.  The vectorised weak-form rate o
 the dense matrices lives here as well; no package code calls it.  The scalar relative-L1 error
 measurement the package used before its vectorised one is kept as well: one
 closed-form call per probe and per Simpson node, and a ``brentq`` solve per
-sign change.
+sign change.  Point evaluation of a state's step function and the CSV body
+reader, which only the tests use, live here too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dcasim.exact import ExactCase, breakpoints, exact_solution
 from dcasim.grid import Grid
 from dcasim.kernels import FAMILIES, DiscreteKernel, KernelSpec
 from dcasim.rhs import rhs_vector
-from dcasim.state import StepFunction
+from dcasim.state import DiscreteState
 
 
 def kernel_value(spec: KernelSpec, which: str, x: float, y: float) -> float:
@@ -274,17 +275,30 @@ def _abs_integral(f_exact, value: float, a: float, b: float,
     return total
 
 
-def scalar_rel_l1_error(sf: StepFunction, case: ExactCase, t: float,
+def step_value(state: DiscreteState, x):
+    """The state's step function at ``x``: ``c_i`` on cell i, 0 outside the cells."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise ValueError("negative size")
+    grid = state.grid
+    idx = np.floor(x / grid.epsilon + 0.5).astype(int)
+    inside = (x >= grid.lower) & (x < grid.upper)
+    idx = np.clip(idx, 1, grid.m)
+    out = np.where(inside, state.c[idx - 1], 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def scalar_rel_l1_error(state: DiscreteState, case: ExactCase,
                         panels: int = 8) -> ErrorReport:
-    """Relative L1 error, segment by segment with scalar closed-form calls."""
-    grid = sf.grid
+    """Relative L1 error at ``state.t``, segment by segment with scalar closed-form calls."""
+    grid, t = state.grid, state.t
     f_ex_vec = lambda xs: exact_solution(case, t, xs)
     f_ex = lambda x: float(exact_solution(case, t, float(x)))
     hard = breakpoints(case, t)
 
     segments = [(0.0, grid.lower, 0.0)]
     segments += [(float(a), float(b), float(v)) for a, b, v
-                 in zip(grid.left_edges(), grid.right_edges(), sf.values)]
+                 in zip(grid.left_edges(), grid.right_edges(), state.c)]
     if grid.x_max > grid.upper:
         segments.append((grid.upper, grid.x_max, 0.0))
 
@@ -297,6 +311,12 @@ def scalar_rel_l1_error(sf: StepFunction, case: ExactCase, t: float,
             denominator += _simpson(f_ex_vec, lo, hi, panels)
     return ErrorReport(epsilon=grid.epsilon, t=t, E1=numerator / denominator,
                        numerator=numerator, denominator=denominator)
+
+
+def body_of(path: str) -> str:
+    """CSV content with the `#` metadata header stripped."""
+    with open(path) as fh:
+        return "".join(line for line in fh if not line.startswith("#"))
 
 
 def small_grid(epsilon: float, m: int) -> Grid:

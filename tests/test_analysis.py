@@ -12,17 +12,15 @@ from dcasim.exact import ExactCase, exact_solution
 from dcasim.grid import build_grid
 from dcasim.kernels import KernelSpec
 from dcasim.runs import RunConfig, run_simulation
-from dcasim.state import (DiscreteState, MomentSeries, StepFunction,
-                          project_initial, reconstruct)
+from dcasim.state import DiscreteState, MomentSeries, project_initial
 
-from oracle import scalar_rel_l1_error
+from oracle import scalar_rel_l1_error, step_value
 
 
 def test_zero_step_function_error_is_one():
     # numerator equals denominator when the candidate vanishes
     g = build_grid(0.05, 10.0)
-    sf = StepFunction(g, np.zeros(g.m))
-    rep = rel_l1_error(sf, ExactCase("case1"), 1.0)
+    rep = rel_l1_error(DiscreteState(g, np.zeros(g.m), 1.0), ExactCase("case1"))
     assert rep.E1 == pytest.approx(1.0, abs=1e-9)
     assert rep.numerator == pytest.approx(rep.denominator, rel=1e-9)
 
@@ -31,15 +29,14 @@ def test_projection_error_small_at_time_zero():
     case = ExactCase("case1")
     g = build_grid(0.05, 10.0)
     st, _ = project_initial(lambda x: np.asarray(x, float) * np.exp(-np.asarray(x, float)), g)
-    rep = rel_l1_error(reconstruct(st), case, 0.0)
+    rep = rel_l1_error(st, case)
     assert 0.0 < rep.E1 < g.epsilon
 
 
 def test_error_requires_closed_form():
     g = build_grid(0.05, 10.0)
-    sf = StepFunction(g, np.zeros(g.m))
     with pytest.raises(ValueError):
-        rel_l1_error(sf, ExactCase("case2", lam=0.5), 1.0)
+        rel_l1_error(DiscreteState(g, np.zeros(g.m), 1.0), ExactCase("case2", lam=0.5))
 
 
 def test_error_handles_discontinuous_reference():
@@ -49,15 +46,15 @@ def test_error_handles_discontinuous_reference():
     g = build_grid(0.05, 10.0)
     st, _ = project_initial(lambda x: np.where(
         (np.asarray(x, float) >= 0) & (np.asarray(x, float) <= 3.0), 2/3, 0.0), g)
-    rep = rel_l1_error(reconstruct(st), case, 0.0)
+    rep = rel_l1_error(st, case)
     # one quadrature node lands exactly on the jump, worth O(eps/panels)
     assert rep.denominator == pytest.approx(2.0, rel=1e-3)
     assert rep.E1 < 2.0 * g.epsilon
 
 
-def _assert_matches_oracle(sf, case, t):
-    rep = rel_l1_error(sf, case, t)
-    ref = scalar_rel_l1_error(sf, case, t)
+def _assert_matches_oracle(state, case):
+    rep = rel_l1_error(state, case)
+    ref = scalar_rel_l1_error(state, case)
     for name in ("E1", "numerator", "denominator"):
         assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-10, abs=0.0), name
 
@@ -68,7 +65,7 @@ def _assert_matches_oracle(sf, case, t):
 def test_error_matches_scalar_oracle_on_runs(case_id, epsilon, x_max):
     run = run_simulation(RunConfig(case=case_id, x_max=x_max), epsilon=epsilon)
     for st in run.snapshots:
-        _assert_matches_oracle(reconstruct(st), ExactCase(case_id), st.t)
+        _assert_matches_oracle(st, ExactCase(case_id))
 
 
 def test_error_root_at_jump_on_breakpoint_matches_oracle():
@@ -78,9 +75,9 @@ def test_error_root_at_jump_on_breakpoint_matches_oracle():
     case = ExactCase("case3")
     g = build_grid(0.05, 10.0)
     st, _ = project_initial(lambda x: exact_solution(case, 1.0, x), g)
-    sf = reconstruct(st)
-    assert 0.0 < sf(6.0) < exact_solution(case, 1.0, 6.0)
-    _assert_matches_oracle(sf, case, 1.0)
+    st.t = 1.0
+    assert 0.0 < step_value(st, 6.0) < exact_solution(case, 1.0, 6.0)
+    _assert_matches_oracle(st, case)
 
 
 @pytest.mark.parametrize("epsilon", [0.05, 0.005])
@@ -96,7 +93,8 @@ def test_error_makes_few_exact_solution_calls(epsilon, monkeypatch):
     case = ExactCase("case1")
     g = build_grid(epsilon, 10.0)
     st, _ = project_initial(lambda x: exact_solution(case, 1.0, x) * (1.0 + 0.1 * np.sin(x)), g)
-    rep = rel_l1_error(reconstruct(st), case, 1.0)
+    st.t = 1.0
+    rep = rel_l1_error(st, case)
     assert 0.0 < rep.E1 < 1.0
     assert 0 < len(calls) <= 64
     assert () not in calls   # no scalar evaluation

@@ -12,8 +12,10 @@ import dcasim.runs
 from dcasim.cli import EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK, EXIT_VALIDATION, main
 from dcasim.integrator import IntegrationError
 from dcasim.kernels import KernelSpec
-from dcasim.output import body_of, snapshot_filename
+from dcasim.output import snapshot_filename
 from dcasim.state import AprioriBoundError
+
+from oracle import body_of
 
 FAST_YAML = {
     "case": "case1",
@@ -325,6 +327,7 @@ INVALID_SETTINGS = [
     ("simulate", {"x_max": float("inf")}, "x_max=inf"),
     ("simulate", {"snapshot_times": [float("inf")]}, "snapshot-inf"),
     ("sweep", {"snapshot_times": []}, "no-snapshot"),
+    ("sweep", {"x_max": 3.0, "snapshot_times": [1.0, 2.5]}, "case1-no-reference-mass"),
     ("simulate", {}, "flag-rtol=nan", "--rtol", "nan"),
     ("simulate", {"kernel": {"L": float("nan")}}, "kernel-L=nan"),
     ("simulate", {"x_max": True}, "x_max=true"),
@@ -387,6 +390,16 @@ def test_uncreatable_output_dir_is_config_error(tmp_path, monkeypatch, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+
+
+def test_sweep_value_error_while_running_is_not_config_error(tmp_path, monkeypatch):
+    def broken(cfg):
+        raise ValueError("raised while integrating")
+
+    monkeypatch.setattr(dcasim.cli, "run_sweep", broken)
+    cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon_list": [0.2, 0.1]})
+    with pytest.raises(ValueError, match="raised while integrating"):
+        main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
 
 
 def _readme_yaml_blocks():

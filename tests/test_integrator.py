@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dcasim.integrator
 from dcasim.grid import build_grid
 from dcasim.integrator import IntegrationError, IntegratorConfig, integrate
 from dcasim.kernels import KernelSpec, discretize
@@ -109,11 +110,12 @@ def test_snapshot_at_start_time():
     np.testing.assert_array_equal(snaps[0].c, st0.c)
 
 
-def test_max_steps_exhaustion_raises():
+def test_max_steps_exhaustion_raises(monkeypatch):
     grid, dk = _setup(m=4)
     st0 = DiscreteState(grid, np.ones(4))
+    monkeypatch.setattr(dcasim.integrator, "_MAX_STEPS", 3)
     with pytest.raises(IntegrationError):
-        integrate(st0, dk, IntegratorConfig(max_steps=3), [1.0])
+        integrate(st0, dk, IntegratorConfig(), [1.0])
 
 
 def test_stats_metadata_keys():

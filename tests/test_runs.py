@@ -27,6 +27,8 @@ def test_config_validation():
     # a run reads the declared bound M_cal (CH2); A1, A2 and K1 feed only moment_diagnostics
     spec = KernelSpec(declared_bounds={"M_cal": 2.0})
     assert RunConfig(kernel=spec).kernel is spec
+    # snapshot times are stored sorted, without repeats
+    assert RunConfig(snapshot_times=[2.5, 1.0, 2.5, 0]).snapshot_times == (0.0, 1.0, 2.5)
 
 
 def test_kernel_for_case():
@@ -91,6 +93,17 @@ def test_sweep_needs_closed_form():
     cfg = RunConfig(case="case2", lam=0.5, epsilon_list=(0.2, 0.1), **{
         k: v for k, v in FAST.items() if k != "epsilon"})
     with pytest.raises(ValueError):
+        run_sweep(cfg)
+
+
+def test_sweep_needs_reference_mass_at_each_time(monkeypatch):
+    # the case-1 wave front is at 2t, so on [0, 3] the closed form is empty by t = 2.5
+    def no_run(cfg, epsilon=None):
+        raise AssertionError("integration started before the check")
+
+    monkeypatch.setattr(dcasim.runs, "run_simulation", no_run)
+    cfg = RunConfig(case="case1", x_max=3.0, epsilon_list=(0.2, 0.1))
+    with pytest.raises(ValueError, match=r"no mass on \[0, 3.0\] at t=2.5"):
         run_sweep(cfg)
 
 

@@ -3,10 +3,9 @@ import pytest
 
 from dcasim.grid import build_grid
 from dcasim.state import (DiscreteState, check_apriori_bounds, moment,
-                          project_initial, reconstruct,
-                          weighted_initial_norm)
+                          project_initial, weighted_initial_norm)
 
-from oracle import small_grid
+from oracle import small_grid, step_value
 
 
 def _exp_profile(x):
@@ -64,14 +63,14 @@ def test_projection_is_linear():
     np.testing.assert_allclose(c12.c, 2.0 * c1.c + 3.0 * c2.c, rtol=1e-12)
 
 
-def test_reconstruct_evaluates_cellwise():
+def test_step_value_evaluates_cellwise():
     g = small_grid(0.1, 3)
-    sf = reconstruct(DiscreteState(g, np.array([1.0, 2.0, 3.0])))
-    assert sf(0.1) == 1.0
-    assert sf(0.26) == 3.0
-    assert sf(0.02) == 0.0       # dust region
-    assert sf(0.36) == 0.0       # beyond the last cell
-    np.testing.assert_allclose(sf(np.array([0.1, 0.2, 0.3])), [1.0, 2.0, 3.0])
+    st = DiscreteState(g, np.array([1.0, 2.0, 3.0]))
+    assert step_value(st, 0.1) == 1.0
+    assert step_value(st, 0.26) == 3.0
+    assert step_value(st, 0.02) == 0.0       # dust region
+    assert step_value(st, 0.36) == 0.0       # beyond the last cell
+    np.testing.assert_allclose(step_value(st, np.array([0.1, 0.2, 0.3])), [1.0, 2.0, 3.0])
 
 
 def test_moment_direct_sum():
@@ -85,9 +84,8 @@ def test_moment_direct_sum():
 def test_moment_zero_order_matches_step_integral():
     g = build_grid(0.1, 5.0)
     st, _ = project_initial(_exp_profile, g)
-    sf = reconstruct(st)
     xs = np.linspace(0.0, 5.0, 100001)
-    riemann = float(np.trapezoid(sf(xs), xs))
+    riemann = float(np.trapezoid(step_value(st, xs), xs))
     assert moment(st, 0) == pytest.approx(riemann, rel=1e-5)
 
 
