@@ -8,8 +8,7 @@ from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate
 from .kernels import (DiscreteKernel, HypothesisReport, KernelSpec, discretize,
                       probe_hypotheses)
 from .rhs import mass_defect_rate, rhs_vector
-from .runs import (RunConfig, SimulationRun, SweepResult, kernel_for_case,
-                   run_simulation, run_sweep)
+from .runs import RunConfig, SimulationRun, SweepResult, run_simulation, run_sweep
 from .state import DiscreteState, MomentSeries, ProjectionLoss, moment, project_initial
 
 __version__ = "0.1.0"

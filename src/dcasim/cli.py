@@ -23,8 +23,7 @@ from .integrator import IntegrationError
 from .kernels import KernelSpec, probe_hypotheses
 from .output import (snapshot_filename, write_error_table_csv, write_moments_csv,
                      write_snapshot_csv)
-from .runs import (RunConfig, config_metadata, kernel_for_case, run_simulation, run_sweep,
-                   sweep_case)
+from .runs import RunConfig, config_metadata, run_simulation, run_sweep, sweep_case
 from .state import AprioriBoundError
 
 EXIT_OK = 0
@@ -130,14 +129,14 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     try:
-        sweep_case(cfg)
+        case = sweep_case(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _output_dir(cfg.output_dir)
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, case=case)
     md = config_metadata(cfg, {"epsilon_list": list(cfg.epsilon_list)})
     for t, table in result.tables.items():
-        path = os.path.join(out, f"errors_t{t:g}.csv")
+        path = os.path.join(out, snapshot_filename(t, kind="errors"))
         write_error_table_csv(path, table, md, result.failures)
         print(f"wrote {path}")
     for eps, msg in result.failures.items():
@@ -150,7 +149,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     """Print the kernel pair's growth conditions CH1 and CH2, and the tag a run would get."""
     cfg = _load_config(args, reads=_VALIDATE_READS)
-    probe = probe_hypotheses(kernel_for_case(cfg))
+    probe = probe_hypotheses(cfg.kernel_pair())
     for name, ok in (("sublinear growth of K (CH1)", probe.ch1_pass),
                      ("uniform bound on C (CH2)", probe.ch2_pass)):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")

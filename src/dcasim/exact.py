@@ -1,4 +1,5 @@
-"""Closed-form initial conditions and reference solutions for the test cases.
+"""The named cases.  ``ExactCase`` owns each one's parameter and default, its
+initial profile, its kernel pair and its closed form.
 
 case1: constant kernels K = C = 1 with initial profile x*exp(-x).  The weak
        form with test function x forces the mass integral to stay at its
@@ -6,10 +7,11 @@ case1: constant kernels K = C = 1 with initial profile x*exp(-x).  The weak
        2 and the number count obeys N' = -N^2 from N(0) = 1.  Solving along
        characteristics gives (x-2t)*exp(-(x-2t))/(1+t) for x > 2t, extended
        by zero behind the wave.
-case2: C = lam * K with K = 1 and the case1 initial profile; closed form only
-       at lam = 1 (same as case1).
+case2: C = lam * K with K = 1, lam in [0, 1] (default 1), and the case1 initial
+       profile; closed form only at lam = 1, where it is case1.
 case3: pure forward aggregation (C = 0, K = 1) started from the uniform
-       profile (2/M) on [0, M]; reference 2/(M (1+t)^2) on x <= M (1+t).
+       profile (2/M) on [0, M], M = 3 by default; reference 2/(M (1+t)^2) on
+       x <= M (1+t).
 """
 
 from __future__ import annotations
@@ -18,27 +20,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import KernelSpec, finite_float
+
 CASE_IDS = ("case1", "case2", "case3")
+# parameter -> (the case that reads it, its default there)
+_PARAMETERS = {"lam": ("case2", 1.0), "M": ("case3", 3.0)}
 
 
 @dataclass(frozen=True)
 class ExactCase:
+    """A named case; its one parameter, if any, is set (default filled in), the other is None."""
+
     id: str
-    M: float = 3.0
+    M: float | None = None
     lam: float | None = None
 
     def __post_init__(self):
         if self.id not in CASE_IDS:
             raise ValueError(f"unknown case {self.id!r}")
-        if self.M <= 0:
+        for name, (owner, default) in _PARAMETERS.items():
+            v = getattr(self, name)
+            if self.id == owner:
+                object.__setattr__(self, name, default if v is None else finite_float(name, v))
+            elif v is not None:
+                raise ValueError(f"{name} applies to case {owner!r} only, not {self.id!r}")
+        if self.M is not None and self.M <= 0:
             raise ValueError("support length M must be positive")
         if self.lam is not None and not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
 
+    def kernel(self) -> KernelSpec:
+        """The case's own pair: K = 1 and a constant C = 1, ``lam`` or 0."""
+        return KernelSpec(C_value={"case1": 1.0, "case2": self.lam, "case3": 0.0}[self.id])
+
 
 def initial_profile(case: ExactCase):
     """Initial number-density profile as a vectorized callable."""
-    if case.id in ("case1", "case2"):
+    if case.id != "case3":
         return lambda x: np.asarray(x, dtype=float) * np.exp(-np.asarray(x, dtype=float))
     M = case.M
     def uniform(x):
@@ -48,9 +66,8 @@ def initial_profile(case: ExactCase):
 
 
 def has_closed_form(case: ExactCase) -> bool:
-    if case.id == "case2":
-        return case.lam == 1.0
-    return True
+    """Case 1 and case 3 have one (no ``lam``); case 2 only at lam = 1, where it is case 1."""
+    return case.lam in (None, 1.0)
 
 
 def exact_solution(case: ExactCase, t: float, x):
@@ -63,26 +80,22 @@ def exact_solution(case: ExactCase, t: float, x):
     """
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    if case.id == "case2":
-        if case.lam != 1.0:
-            return None
-        case = ExactCase("case1")
+    if not has_closed_form(case):
+        return None
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("size must be nonnegative")
-    if case.id == "case1":
-        u = x - 2.0 * t
-        out = np.where(u > 0.0, u * np.exp(-np.clip(u, 0.0, None)) / (1.0 + t), 0.0)
-    else:
+    if case.id == "case3":
         scale = 2.0 / (case.M * (1.0 + t) ** 2)
         out = np.where(x / (1.0 + t) <= case.M, scale, 0.0)
+    else:
+        u = x - 2.0 * t
+        out = np.where(u > 0.0, u * np.exp(-np.clip(u, 0.0, None)) / (1.0 + t), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def breakpoints(case: ExactCase, t: float) -> tuple[float, ...]:
     """Locations where the reference solution is non-smooth at time ``t``."""
-    if case.id == "case2" and case.lam != 1.0:
+    if not has_closed_form(case):
         return ()
-    if case.id in ("case1", "case2"):
-        return (2.0 * t,)
-    return (case.M * (1.0 + t),)
+    return (case.M * (1.0 + t),) if case.id == "case3" else (2.0 * t,)

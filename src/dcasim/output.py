@@ -57,5 +57,6 @@ def write_error_table_csv(path: str, table: ConvergenceTable, metadata: dict,
             fh.write(f"{eps!r},{table.t!r},{err!r},{order}\n")
 
 
-def snapshot_filename(t: float) -> str:
-    return f"snapshot_t{t:g}.csv"
+def snapshot_filename(t: float, kind: str = "snapshot") -> str:
+    """``<kind>_t<t:g>.csv``, the one file label of a time; RunConfig rejects clashes."""
+    return f"{kind}_t{t:g}.csv"

@@ -11,6 +11,7 @@ from .exact import ExactCase, has_closed_form, initial_profile
 from .grid import build_grid
 from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate
 from .kernels import DiscreteKernel, KernelSpec, discretize, finite_float, probe_hypotheses
+from .output import snapshot_filename
 from .state import (AprioriBoundError, DiscreteState, MomentSeries,
                     ProjectionLoss, check_apriori_bounds, project_initial,
                     weighted_initial_norm)
@@ -35,7 +36,7 @@ class RunConfig:
 
     def __post_init__(self):
         """Build what a run builds from these settings, so a bad one fails here."""
-        for name in ("epsilon", "x_max", "M", "lam", "rtol", "atol"):
+        for name in ("epsilon", "x_max", "rtol", "atol"):
             if getattr(self, name) is not None:
                 setattr(self, name, finite_float(name, getattr(self, name)))
         for name in ("epsilon_list", "snapshot_times"):
@@ -48,9 +49,11 @@ class RunConfig:
         if any(t < 0.0 for t in self.snapshot_times):
             raise ValueError("snapshot times must be nonnegative")
         self.snapshot_times = tuple(sorted(set(self.snapshot_times)))
-        if self.lam is not None and self.case != "case2":
-            raise ValueError(f"lam applies to case 'case2' only; "
-                             f"case {self.case!r} runs its own kernel")
+        for a, b in zip(self.snapshot_times, self.snapshot_times[1:]):   # sorted: clashes adjoin
+            if snapshot_filename(a) == snapshot_filename(b):
+                raise ValueError(f"snapshot times {a!r} and {b!r} share {snapshot_filename(a)}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")
         if self.lam is not None and self.kernel is not None:
             raise ValueError("lam sets case 2's C = lam * K, which a kernel block replaces; "
                              "give one or the other")
@@ -59,11 +62,7 @@ class RunConfig:
         if unread:
             raise ValueError(f"declared_bounds {', '.join(unread)} feed only the library's "
                              f"moment_diagnostics, which no run calls; a run reads M_cal only")
-        if self.M is not None and self.case != "case3":
-            raise ValueError(f"M applies to case 'case3' only; "
-                             f"case {self.case!r} starts from x*exp(-x)")
-        exact_case_for(self)      # rejects an unknown case before kernel_for_case looks it up
-        kernel_for_case(self)
+        self.exact_case()
         self.integrator_config()
         for eps in (self.epsilon, *self.epsilon_list):
             if eps is not None:
@@ -72,37 +71,22 @@ class RunConfig:
     def integrator_config(self) -> IntegratorConfig:
         return IntegratorConfig(rtol=self.rtol, atol=self.atol)
 
+    def exact_case(self) -> ExactCase:
+        """The case, with its parameter (``M`` or ``lam``) or that parameter's default."""
+        return ExactCase(self.case, M=self.M, lam=self.lam)
 
-def kernel_for_case(cfg: RunConfig) -> KernelSpec:
-    """The kernel block if given, else the case's own pair K = 1, C = lam."""
-    if cfg.kernel is not None:
-        return cfg.kernel
-    lam = {"case1": 1.0, "case2": _case2_lam(cfg), "case3": 0.0}[cfg.case]
-    return KernelSpec(C_value=lam)
-
-
-def exact_case_for(cfg: RunConfig) -> ExactCase:
-    """The case's initial profile and closed form; case 3's M is ``ExactCase``'s unless set."""
-    lam = _case2_lam(cfg) if cfg.case == "case2" else None
-    if cfg.M is None:
-        return ExactCase(cfg.case, lam=lam)
-    return ExactCase(cfg.case, M=cfg.M, lam=lam)
-
-
-def _case2_lam(cfg: RunConfig) -> float:
-    """Case 2 runs C = lam * K at lam = 1 unless ``lam`` is set."""
-    return cfg.lam if cfg.lam is not None else 1.0
+    def kernel_pair(self) -> KernelSpec:
+        """The kernel block if given, else the case's own pair."""
+        return self.kernel or self.exact_case().kernel()
 
 
 def config_metadata(cfg: RunConfig, resolution: dict, kernel: dict | None = None) -> dict:
     """Header lines for the settings a run used, the case parameter included."""
-    md = {"case": cfg.case}
-    if cfg.case == "case3":
-        md["M"] = exact_case_for(cfg).M
-    elif cfg.case == "case2" and cfg.kernel is None:
-        md["lam"] = _case2_lam(cfg)
-    return {**md, **resolution, "x_max": cfg.x_max, **(kernel or {}),
-            "rtol": cfg.rtol, "atol": cfg.atol}
+    case = cfg.exact_case()
+    # case 3's M, or case 2's lam unless a kernel block replaces its C = lam * K
+    param = {"M": case.M, "lam": None if cfg.kernel else case.lam}
+    return {"case": case.id, **{k: v for k, v in param.items() if v is not None},
+            **resolution, "x_max": cfg.x_max, **(kernel or {}), "rtol": cfg.rtol, "atol": cfg.atol}
 
 
 @dataclass
@@ -118,7 +102,6 @@ class SimulationRun:
     moments: MomentSeries
     stats: StepStats
     projection_loss: ProjectionLoss
-    initial_norm: float
     hypotheses_verified: bool
 
     def metadata(self) -> dict:
@@ -140,11 +123,11 @@ def run_simulation(cfg: RunConfig, epsilon: float | None = None) -> SimulationRu
     eps = epsilon if epsilon is not None else cfg.epsilon
     if eps is None:
         raise ValueError("no epsilon given")
-    spec = kernel_for_case(cfg)
+    spec = cfg.kernel_pair()
     grid = build_grid(eps, cfg.x_max)
     dk = discretize(spec, grid)
 
-    f_in = initial_profile(exact_case_for(cfg))
+    f_in = initial_profile(cfg.exact_case())
     state0, loss = project_initial(f_in, grid)
     norm = weighted_initial_norm(f_in, cfg.x_max)
 
@@ -161,8 +144,7 @@ def run_simulation(cfg: RunConfig, epsilon: float | None = None) -> SimulationRu
 
     return SimulationRun(config=cfg, epsilon=eps, spec=spec, dk=dk,
                          initial=state0, snapshots=snapshots, moments=moments,
-                         stats=stats, projection_loss=loss, initial_norm=norm,
-                         hypotheses_verified=verified)
+                         stats=stats, projection_loss=loss, hypotheses_verified=verified)
 
 
 @dataclass
@@ -181,7 +163,7 @@ def sweep_case(cfg: RunConfig) -> ExactCase:
     if cfg.kernel is not None:
         raise ValueError("sweep measures against the closed form of the case's own kernels; "
                          "a kernel block replaces them")
-    case = exact_case_for(cfg)
+    case = cfg.exact_case()
     if not has_closed_form(case):
         raise ValueError("sweep requires a case with a closed-form solution")
     # rel_l1_error raises when the closed form has no mass on [0, x_max]
@@ -191,9 +173,9 @@ def sweep_case(cfg: RunConfig) -> ExactCase:
     return case
 
 
-def run_sweep(cfg: RunConfig) -> SweepResult:
-    """Run the epsilon ladder and tabulate errors against the closed form."""
-    case = sweep_case(cfg)
+def run_sweep(cfg: RunConfig, *, case: ExactCase | None = None) -> SweepResult:
+    """Run the epsilon ladder and tabulate errors against the closed form of ``cfg``'s case."""
+    case = case or sweep_case(cfg)      # a caller that has called sweep_case passes its result
     tables = {t: ConvergenceTable(t=t) for t in cfg.snapshot_times}
     runs, failures = {}, {}
     for eps in cfg.epsilon_list:

@@ -72,3 +72,26 @@ def test_benchmark_tracer_installs(monkeypatch):
     finally:
         for name in ("worker", "tracer", "workloads"):
             sys.modules.pop(name, None)
+
+
+def test_benchmark_cli_capture_counts_every_sweep_run(tmp_path, monkeypatch):
+    # the sweep workload reads its work counts by wrapping dcasim.cli.run_sweep with
+    # perfbench's _CliCapture; however cmd_sweep calls it, each run of the ladder counts
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    config = tmp_path / "sweep.yaml"
+    config.write_text("case: case1\nepsilon_list: [0.2, 0.1]\nsnapshot_times: [1.0]\n")
+    try:
+        workloads = importlib.import_module("workloads")
+        with workloads._CliCapture("run_sweep", lambda res: res.runs.values()) as cap:
+            argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
+            assert dcasim.cli.main(argv) == 0
+    finally:
+        sys.modules.pop("workloads", None)
+    assert dcasim.cli.run_sweep is dcasim.runs.run_sweep
+    runs = dcasim.runs.run_sweep(dcasim.runs.RunConfig(
+        case="case1", epsilon_list=(0.2, 0.1), snapshot_times=(1.0,))).runs.values()
+    assert len(runs) == 2
+    assert cap.work["integrator.accepted"] == sum(run.stats.accepted for run in runs) > 0
+    assert cap.work["integrator.rhs_evals"] == sum(run.stats.rhs_evals for run in runs)
+    assert cap.work["kernels.dense_bytes"] == sum(2 * 8 * run.dk.grid.m ** 2 for run in runs)

@@ -333,6 +333,11 @@ INVALID_SETTINGS = [
     ("simulate", {"x_max": True}, "x_max=true"),
     ("simulate", {"kernel": {"lambda": 0.5}}, "kernel-lambda"),
     ("simulate", {"kernel": {"L": -1.0}}, "kernel-L<0"),
+    ("simulate", {"output_dir": 5}, "output_dir=5"),
+    ("sweep", {"output_dir": None}, "output_dir=null"),
+    ("simulate", {"output_dir": ["out"]}, "output_dir-list"),
+    ("simulate", {"snapshot_times": [1.0, 1.0000001]}, "snapshot-file-name-clash"),
+    ("sweep", {"snapshot_times": [1.0, 1.0000001]}, "snapshot-file-name-clash"),
     *(("simulate", {"kernel": {"declared_bounds": {key: 1.0}}}, f"kernel-{key}")
       for key in ("A1", "A2", "K1")),
 ]
@@ -364,8 +369,10 @@ def test_invalid_setting_is_config_error(tmp_path, capsys, monkeypatch, command,
         cfg = _write_config(tmp_path, {**VALIDATE_YAML, **overrides})
         argv = [command, "--config", cfg, *flags]
     else:
-        cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon_list": [0.2, 0.1], **overrides})
-        argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]
+        # the output directory is a config key, so a row can override it
+        cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon_list": [0.2, 0.1],
+                                       "output_dir": str(tmp_path / "out"), **overrides})
+        argv = [command, "--config", cfg, *flags]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
@@ -393,7 +400,7 @@ def test_uncreatable_output_dir_is_config_error(tmp_path, monkeypatch, capsys, c
 
 
 def test_sweep_value_error_while_running_is_not_config_error(tmp_path, monkeypatch):
-    def broken(cfg):
+    def broken(cfg, *, case=None):
         raise ValueError("raised while integrating")
 
     monkeypatch.setattr(dcasim.cli, "run_sweep", broken)

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from dcasim.exact import (ExactCase, breakpoints, exact_solution,
                           has_closed_form, initial_profile)
+from dcasim.kernels import KernelSpec
 
 
 def test_case_validation():
@@ -13,6 +14,44 @@ def test_case_validation():
         ExactCase("case3", M=0.0)
     with pytest.raises(ValueError):
         ExactCase("case2", lam=1.5)
+
+
+def test_case_fills_in_its_parameter_and_kernel_pair():
+    # each case's own parameter gets its default, the other stays unset
+    assert (ExactCase("case1").M, ExactCase("case1").lam) == (None, None)
+    assert (ExactCase("case2").M, ExactCase("case2").lam) == (None, 1.0)
+    assert (ExactCase("case3").M, ExactCase("case3").lam) == (3.0, None)
+    assert ExactCase("case3", M=5).M == 5.0
+    # K = 1 and a constant C = 1, lam or 0
+    assert ExactCase("case1").kernel() == KernelSpec(C_value=1.0)
+    assert ExactCase("case2", lam=0.25).kernel() == KernelSpec(C_value=0.25)
+    assert ExactCase("case3").kernel() == KernelSpec(C_value=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"id": "case1", "lam": 0.3}, {"id": "case3", "lam": 0.3},
+    {"id": "case1", "M": 5.0}, {"id": "case2", "M": 5.0}])
+def test_case_rejects_parameter_it_does_not_read(kwargs):
+    with pytest.raises(ValueError, match="applies to case"):
+        ExactCase(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"id": "case3", "M": float("nan")}, {"id": "case3", "M": float("inf")},
+    {"id": "case2", "lam": True}])
+def test_case_rejects_non_finite_or_boolean_parameter(kwargs):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        ExactCase(**kwargs)
+
+
+def test_case2_default_is_case1_with_its_closed_form():
+    # lam defaults to 1, where C = K and the problem is case 1's
+    c2, c1 = ExactCase("case2"), ExactCase("case1")
+    assert has_closed_form(c2)
+    xs = np.linspace(0.0, 10.0, 101)
+    for t in (0.0, 1.0, 2.5):
+        np.testing.assert_array_equal(exact_solution(c2, t, xs), exact_solution(c1, t, xs))
+        assert breakpoints(c2, t) == breakpoints(c1, t)
 
 
 def test_initial_profiles():

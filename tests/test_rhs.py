@@ -6,7 +6,7 @@ import pytest
 
 from dcasim.kernels import KernelSpec, discretize
 from dcasim.rhs import mass_defect_rate, rhs_vector
-from dcasim.runs import RunConfig, kernel_for_case
+from dcasim.runs import RunConfig
 
 from oracle import (FAMILY_PAIRS, ORACLE_KERNELS, constant_mass_defect_rate,
                     constant_sums, dense_mass_defect_rate, dense_sums, naive_rhs,
@@ -156,7 +156,7 @@ def test_lambda_one_equals_independent_C_equals_K():
     # case 1's own pair (C = 1 * K) is the pair C = K written out
     spec_ind = KernelSpec(family_K="constant", K_value=1.0,
                           family_C="constant", C_value=1.0)
-    dk_lam = _dk(kernel_for_case(RunConfig(case="case1")), 0.1, 8)
+    dk_lam = _dk(RunConfig(case="case1").kernel_pair(), 0.1, 8)
     dk_ind = _dk(spec_ind, 0.1, 8)
     c = np.linspace(0.1, 1.0, 8)
     np.testing.assert_array_equal(rhs_vector(c, dk_lam), rhs_vector(c, dk_ind))

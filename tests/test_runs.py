@@ -6,8 +6,7 @@ import dcasim.runs
 from dcasim.exact import CASE_IDS
 from dcasim.integrator import IntegrationError
 from dcasim.kernels import KernelSpec
-from dcasim.runs import (RunConfig, exact_case_for, kernel_for_case,
-                         run_simulation, run_sweep)
+from dcasim.runs import RunConfig, run_simulation, run_sweep
 
 FAST = dict(epsilon=0.2, snapshot_times=(0.5, 1.0))
 
@@ -33,24 +32,31 @@ def test_config_validation():
 
 def test_kernel_for_case():
     # each case runs K = 1 and a constant C = lam: 1, lam (default 1), 0
-    assert kernel_for_case(RunConfig(case="case1")) == KernelSpec(C_value=1.0)
-    assert kernel_for_case(RunConfig(case="case3")) == KernelSpec(C_value=0.0)
-    assert kernel_for_case(RunConfig(case="case2")) == KernelSpec(C_value=1.0)
-    assert kernel_for_case(RunConfig(case="case2", lam=0.75)) == KernelSpec(C_value=0.75)
+    assert RunConfig(case="case1").kernel_pair() == KernelSpec(C_value=1.0)
+    assert RunConfig(case="case3").kernel_pair() == KernelSpec(C_value=0.0)
+    assert RunConfig(case="case2").kernel_pair() == KernelSpec(C_value=1.0)
+    assert RunConfig(case="case2", lam=0.75).kernel_pair() == KernelSpec(C_value=0.75)
     with pytest.raises(ValueError):
         RunConfig(case="custom")
     spec = KernelSpec(family_K="sum", family_C="sum")
     for case in CASE_IDS:       # a kernel block replaces the case's own pair
-        assert kernel_for_case(RunConfig(case=case, kernel=spec)) is spec
+        assert RunConfig(case=case, kernel=spec).kernel_pair() is spec
 
 
 def test_exact_case_for():
-    assert exact_case_for(RunConfig(case="case1")).id == "case1"
-    assert exact_case_for(RunConfig(case="case2", lam=0.5)).lam == 0.5
-    assert exact_case_for(RunConfig(case="case3")).M == 3.0
-    assert exact_case_for(RunConfig(case="case3", M=5.0)).M == 5.0
+    assert RunConfig(case="case1").exact_case().id == "case1"
+    assert RunConfig(case="case2", lam=0.5).exact_case().lam == 0.5
+    assert RunConfig(case="case3").exact_case().M == 3.0
+    assert RunConfig(case="case3", M=5.0).exact_case().M == 5.0
     # the case still picks the initial profile when a kernel block is given
-    assert exact_case_for(RunConfig(case="case3", kernel=KernelSpec())).id == "case3"
+    assert RunConfig(case="case3", kernel=KernelSpec()).exact_case().id == "case3"
+
+
+def test_snapshot_times_sharing_a_file_name_rejected():
+    # files are named by {t:g}, six significant digits: 1.0000001 would overwrite t = 1
+    with pytest.raises(ValueError, match=r"1\.0 and 1\.0000001 share snapshot_t1\.csv"):
+        RunConfig(snapshot_times=[1.0000001, 2.5, 1.0])
+    assert RunConfig(snapshot_times=[1.0, 1.00001]).snapshot_times == (1.0, 1.00001)
 
 
 def test_run_simulation_requires_epsilon():
