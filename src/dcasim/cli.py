@@ -16,8 +16,6 @@ import dataclasses
 import os
 import sys
 
-import yaml
-
 from .exact import CASE_IDS
 from .integrator import IntegrationError
 from .kernels import KernelSpec, probe_hypotheses
@@ -59,6 +57,8 @@ def _load_config(args, reads=None) -> RunConfig:
     """
     fields = {}
     if args.config:
+        import yaml   # only a config file needs it, and it costs tens of ms to import
+
         try:
             with open(args.config) as fh:
                 fields = yaml.safe_load(fh) or {}

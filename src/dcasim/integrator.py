@@ -117,7 +117,7 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
     k = np.empty((7, y.size))
     stages = np.empty((6, y.size))   # stage states 1..6, reused by the defect quadrature
     inc, err, scale, y_new = (np.empty_like(y) for _ in range(4))
-    k[0] = rhs_vector(y, dk)
+    rhs_vector(y, dk, out=k[0])
     stats.rhs_evals += 1
     err_prev = 1.0
 
@@ -134,7 +134,7 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
             np.matmul(_A_ROWS[s], k[:s], out=inc)
             inc *= h
             np.add(y, inc, out=stages[s - 1])
-            k[s] = rhs_vector(stages[s - 1], dk)
+            rhs_vector(stages[s - 1], dk, out=k[s])
         stats.rhs_evals += 6
         np.matmul(_B5, k, out=inc)
         inc *= h
@@ -155,8 +155,10 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
             y, y_new = y_new, y
             y, clamped = _clamp_negative(y, dk.index)
             stats.clamped_mass += clamped * state0.grid.epsilon ** 2
-            k[0] = k[6] if clamped == 0.0 else rhs_vector(y, dk)
-            if clamped != 0.0:
+            if clamped == 0.0:
+                k[0] = k[6]
+            else:
+                rhs_vector(y, dk, out=k[0])
                 stats.rhs_evals += 1
 
             if abs(t - target) <= 1e-12 * max(1.0, abs(target)):

@@ -87,7 +87,9 @@ class DiscreteKernel:
     The O(m) RHS and defect rate read only the factors and what is derived
     from them once here: ``index`` is ``1..m`` as floats, ``K_last`` the
     last-row factors ``(a_r[m], key_r)`` and ``Cd_mm`` the entry ``Cd[m, m]``,
-    each rounded as the factor sums round them.
+    each rounded as the factor sums round them.  ``tied`` is whether K and C
+    are the same kernel (the same family and value in ``spec``); the RHS then
+    needs only column totals.  Only ``discretize`` sets these derived fields.
     """
 
     grid: Grid
@@ -98,6 +100,7 @@ class DiscreteKernel:
     index: np.ndarray
     K_last: tuple
     Cd_mm: float
+    tied: bool
 
     @property
     def Kd(self) -> np.ndarray:
@@ -151,7 +154,8 @@ def discretize(spec: KernelSpec, grid: Grid) -> DiscreteKernel:
         Cd_mm += at_m(a) * b_m[key]
     return DiscreteKernel(grid=grid, spec=spec, K_factors=K_factors, C_factors=C_factors,
                           columns=columns, index=np.arange(1, grid.m + 1, dtype=float),
-                          K_last=tuple((at_m(a), key) for a, key in K_factors), Cd_mm=Cd_mm)
+                          K_last=tuple((at_m(a), key) for a, key in K_factors), Cd_mm=Cd_mm,
+                          tied=(spec.family_K, spec.K_value) == (spec.family_C, spec.C_value))
 
 
 def probe_hypotheses(spec: KernelSpec) -> HypothesisReport:

@@ -8,7 +8,9 @@ package used before its separable-factor path are kept as references too:
 the O(m^2) row-cumulative sums over the dense matrices, and the O(m)
 prefix-sum formula for constant kernels.  The allocating separable-factor RHS
 and defect rate that the package ran before its buffer-reusing ones are kept
-too; the package's must equal them bit for bit.  The vectorised weak-form rate over
+too, and so is the allocating form of the column-total RHS it runs when
+K = C; the package's must equal them bit for bit.  An exact rational RHS
+measures the rounding of both.  The vectorised weak-form rate over
 the dense matrices lives here as well; no package code calls it.  The scalar relative-L1 error
 measurement the package used before its vectorised one is kept as well: one
 closed-form call per probe and per Simpson node, and a ``brentq`` solve per
@@ -19,6 +21,7 @@ reader, which only the tests use, live here too.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -153,14 +156,71 @@ def reference_mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
     return float(-(m + 1) * cm * A_m - m * (m + 1) * C_mm * cm * cm)
 
 
+def tied_sums(c: np.ndarray, dk: DiscreteKernel):
+    """``A + G`` and ``W + Z`` when K = C, allocating each intermediate.
+
+    Both are ``sum_r a_r * (b_r . v + b_r * v)`` over K's factors, with
+    ``v = j c`` and ``v = c``: the row sum over every j plus the row's own term.
+    """
+    def combine(v):
+        out = None
+        for a, key in dk.K_factors:
+            b = dk.columns[key]
+            own = v if b is None else b * v
+            term = a * (own + np.sum(own))
+            out = term if out is None else out + term
+        return out
+
+    return combine(np.arange(1, c.size + 1, dtype=float) * c), combine(c)
+
+
 def rhs_from_sums(c: np.ndarray, A, W, G, Z) -> np.ndarray:
     """Assemble the per-cell balance from the four per-row sums."""
-    flux = c * (A + G)
+    return rhs_from_pair_sums(c, A + G, W + Z)
+
+
+def rhs_from_pair_sums(c: np.ndarray, AG, WZ) -> np.ndarray:
+    """Assemble the per-cell balance from ``A + G`` and ``W + Z``."""
+    flux = c * AG
     Q = np.empty_like(c)
     Q[0] = -flux[0]
     Q[1:] = flux[:-1] - flux[1:]
-    Q -= c * (W + Z)
+    Q -= c * WZ
     return Q
+
+
+def exact_rhs(c: np.ndarray, dk: DiscreteKernel) -> list[Fraction]:
+    """The RHS in exact rational arithmetic on the float factors and state.
+
+    Each factor and concentration is taken as the rational number its float
+    represents, so the result is the RHS of the discrete system as stored,
+    with no rounding at all.
+    """
+    m = c.size
+    cs = [Fraction(float(v)) for v in c]
+    jc = [(j + 1) * v for j, v in enumerate(cs)]
+
+    def factors(fs):
+        return [([Fraction(float(x)) for x in np.broadcast_to(a, (m,))],
+                 [Fraction(1)] * m if dk.columns[key] is None
+                 else [Fraction(float(x)) for x in dk.columns[key]]) for a, key in fs]
+
+    def row_sums(fs, v, lower):
+        """sum over j <= i (lower) or j >= i of Kd[i, j] * v_j, every row i."""
+        out = [Fraction(0)] * m
+        for a, b in fs:
+            bv = [bj * vj for bj, vj in zip(b, v)]
+            total, run = sum(bv), Fraction(0)
+            for i in range(m):
+                run += bv[i]
+                out[i] += a[i] * (run if lower else total - run + bv[i])
+        return out
+
+    K, C = factors(dk.K_factors), factors(dk.C_factors)
+    AG = [x + y for x, y in zip(row_sums(K, jc, True), row_sums(C, jc, False))]
+    WZ = [x + y for x, y in zip(row_sums(K, cs, False), row_sums(C, cs, True))]
+    flux = [ci * s for ci, s in zip(cs, AG)]
+    return [(flux[i - 1] if i else 0) - flux[i] - cs[i] * WZ[i] for i in range(m)]
 
 
 def dense_mass_defect_rate(c: np.ndarray, Kd: np.ndarray, Cd: np.ndarray) -> float:

@@ -30,9 +30,9 @@ def test_benchmark_bindings(monkeypatch):
     # traced rhs_vector calls must equal the integrator's own rhs_evals
     calls = []
 
-    def counted(c, dk):
+    def counted(c, dk, **kw):
         calls.append(None)
-        return dcasim.rhs.rhs_vector(c, dk)
+        return dcasim.rhs.rhs_vector(c, dk, **kw)
 
     monkeypatch.setattr(dcasim.integrator, "rhs_vector", counted)
     grid = small_grid(0.1, 6)
@@ -72,6 +72,30 @@ def test_benchmark_tracer_installs(monkeypatch):
     finally:
         for name in ("worker", "tracer", "workloads"):
             sys.modules.pop(name, None)
+
+
+def test_traced_rhs_counts_match_integrator_stats(monkeypatch):
+    # perfbench/run.py rejects a run whose traced rhs_vector calls differ from
+    # integrator.rhs_evals, or whose rhs.cell_evals differ from rhs_evals * m;
+    # checked on a tied (K = C) and an untied pair
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    grid = small_grid(0.1, 7)
+    try:
+        for spec in (KernelSpec(), KernelSpec(family_K="product", C_value=0.5)):
+            dk = discretize(spec, grid)
+            tracer, counts = importlib.import_module("worker").install_tracer()
+            try:
+                _, stats = integrate(DiscreteState(grid, np.linspace(1.0, 0.1, 7)), dk,
+                                     IntegratorConfig(), [0.5])
+            finally:
+                tracer.unpatch()
+            assert tracer.calls["rhs.rhs_vector"] == stats.rhs_evals > 0, spec
+            assert counts["rhs.cell_evals"] == stats.rhs_evals * grid.m, spec
+    finally:
+        for name in ("worker", "tracer", "workloads"):
+            sys.modules.pop(name, None)
+    assert dcasim.integrator.rhs_vector is dcasim.rhs.rhs_vector
 
 
 def test_benchmark_cli_capture_counts_every_sweep_run(tmp_path, monkeypatch):

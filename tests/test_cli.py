@@ -2,6 +2,8 @@ import dataclasses
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +106,22 @@ def test_deleted_setting_is_unknown_config_key(tmp_path, capsys, key, value):
 def test_missing_config_file_is_config_error(tmp_path):
     missing = str(tmp_path / "nope.yaml")
     assert main(["simulate", "--config", missing]) == EXIT_CONFIG
+
+
+def test_malformed_yaml_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("epsilon: [0.1\n")
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_yaml_unloaded():
+    # only --config reads YAML, so importing the CLI must not pay for the parser
+    src = pathlib.Path(dcasim.cli.__file__).resolve().parent.parent
+    code = "import sys, dcasim.cli; print('yaml' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_bad_epsilon_is_config_error(tmp_path):

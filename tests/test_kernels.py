@@ -49,6 +49,17 @@ def test_lambda_ties_C_to_K():
         np.testing.assert_allclose(dk.Cd, 0.5 * dk.Kd, rtol=1e-15)
 
 
+def test_tied_iff_K_and_C_are_the_same_kernel():
+    g = build_grid(0.1, 2.0)
+    for spec, tied in ((RunConfig(case="case2").kernel_pair(), True),
+                       (RunConfig(case="case2", lam=0.5).kernel_pair(), False),
+                       (KernelSpec(family_K="sum", family_C="sum"), True),
+                       (KernelSpec(family_K="sum", K_value=1.0, family_C="sum", C_value=0.5), False),
+                       (KernelSpec(family_K="product", family_C="constant"), False),
+                       (KernelSpec(family_K="constant", family_C="sum"), False)):
+        assert discretize(spec, g).tied is tied, spec
+
+
 def test_independent_C_family():
     g = build_grid(0.1, 2.0)
     dk = discretize(KernelSpec(family_K="constant", K_value=1.0,

@@ -1,17 +1,19 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dcasim.kernels import KernelSpec, discretize
+from dcasim.kernels import FAMILIES, KernelSpec, discretize
 from dcasim.rhs import mass_defect_rate, rhs_vector
 from dcasim.runs import RunConfig
 
 from oracle import (FAMILY_PAIRS, ORACLE_KERNELS, constant_mass_defect_rate,
-                    constant_sums, dense_mass_defect_rate, dense_sums, naive_rhs,
+                    constant_sums, dense_mass_defect_rate, dense_sums, exact_rhs, naive_rhs,
                     naive_weak_form, reference_mass_defect_rate, reference_rhs_vector,
-                    rhs_from_sums, small_grid, weak_form_rate)
+                    rhs_from_pair_sums, rhs_from_sums, small_grid, tied_sums,
+                    weak_form_rate)
 
 
 def _dk(spec, epsilon, m):
@@ -47,7 +49,9 @@ def test_factor_path_matches_dense_reference():
 
 
 def test_constant_path_bitwise_matches_reference():
-    # the O(m) constant-kernel formula, values and rounding unchanged
+    # the O(m) constant-kernel formula, values and rounding unchanged when C != K;
+    # at C = K the column-total path rounds differently, within criterion 1's 1e-13
+    # (K = 2.5, C = 2.5 is the constant entry of TIED_PAIRS)
     rng = np.random.default_rng(29)
     eps = 0.1
     pairs = [(KernelSpec(family_K="constant", K_value=2.5, C_value=cv), eps * 2.5, eps * cv)
@@ -57,8 +61,55 @@ def test_constant_path_bitwise_matches_reference():
             dk = _dk(spec, eps, m)
             c = rng.random(m) - 0.1
             ref = rhs_from_sums(c, *constant_sums(c, kval, cval))
-            np.testing.assert_array_equal(rhs_vector(c, dk), ref)
+            q = rhs_vector(c, dk)
+            if dk.tied:   # pinned bitwise by test_tied_path_bitwise_matches_allocating_reference
+                assert np.max(np.abs(q - ref)) <= 1e-13 * np.max(np.abs(ref)), m
+            else:
+                np.testing.assert_array_equal(q, ref)
             assert mass_defect_rate(c, dk) == constant_mass_defect_rate(c, kval, cval)
+
+
+TIED_PAIRS = tuple(KernelSpec(family_K=fam, K_value=2.5, family_C=fam, C_value=2.5)
+                   for fam in FAMILIES)
+
+
+@pytest.mark.parametrize("spec", TIED_PAIRS, ids=lambda spec: spec.family_K)
+def test_tied_path_bitwise_matches_allocating_reference(spec):
+    # K = C: the column-total path, only written into reused buffers
+    rng = np.random.default_rng(43)
+    for m in (2, 3, 17, 2000):
+        dk = _dk(spec, float(rng.uniform(0.005, 0.4)), m)
+        assert dk.tied
+        for c in (rng.random(m), rng.random(m) - 0.3, -rng.random(m)):
+            np.testing.assert_array_equal(rhs_vector(c, dk),
+                                          rhs_from_pair_sums(c, *tied_sums(c, dk)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_tied_path_rounds_no_worse_than_prefix_sums(family):
+    # relative L1 distance to the exact rational RHS on x e^-x: the column-total
+    # path within twice that of the prefix/suffix-sum path on the same pair
+    for m in (300, 500):
+        dk = _dk(KernelSpec(family_K=family, family_C=family), 10.0 / m, m)
+        xs = dk.grid.centers()
+        c = xs * np.exp(-xs)
+        exact = exact_rhs(c, dk)
+        scale = sum(abs(q) for q in exact)
+
+        def rel_l1(q):
+            return float(sum(abs(Fraction(float(a)) - b) for a, b in zip(q, exact)) / scale)
+
+        tied, prefix = rel_l1(rhs_vector(c, dk)), rel_l1(reference_rhs_vector(c, dk))
+        assert 0.0 < prefix and tied <= 2.0 * prefix, (m, tied, prefix)
+
+
+def test_rhs_out_receives_the_result():
+    rng = np.random.default_rng(47)
+    for spec in (*TIED_PAIRS, *FAMILY_PAIRS):
+        dk = _dk(spec, 0.1, 9)
+        c, out = rng.random(9), np.full(9, np.nan)
+        assert rhs_vector(c, dk, out=out) is out
+        np.testing.assert_array_equal(out, rhs_vector(c, dk))
 
 
 @pytest.mark.parametrize("spec", [
