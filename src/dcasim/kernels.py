@@ -87,9 +87,11 @@ class DiscreteKernel:
     The O(m) RHS and defect rate read only the factors and what is derived
     from them once here: ``index`` is ``1..m`` as floats, ``K_last`` the
     last-row factors ``(a_r[m], key_r)`` and ``Cd_mm`` the entry ``Cd[m, m]``,
-    each rounded as the factor sums round them.  ``tied`` is whether K and C
-    are the same kernel (the same family and value in ``spec``); the RHS then
-    needs only column totals.  Only ``discretize`` sets these derived fields.
+    each rounded as the factor sums round them.  ``sums`` is the RHS's plan:
+    for ``A + G`` and for ``W + Z`` its groups of terms ``(a_r, key_r, kind)``,
+    one per kernel of nonzero value (K's first) or one merged group of ``row``
+    terms when K and C are the same kernel (``dcasim.rhs`` defines the kinds).
+    Only ``discretize`` sets these derived fields.
     """
 
     grid: Grid
@@ -100,7 +102,7 @@ class DiscreteKernel:
     index: np.ndarray
     K_last: tuple
     Cd_mm: float
-    tied: bool
+    sums: tuple
 
     @property
     def Kd(self) -> np.ndarray:
@@ -155,7 +157,17 @@ def discretize(spec: KernelSpec, grid: Grid) -> DiscreteKernel:
     return DiscreteKernel(grid=grid, spec=spec, K_factors=K_factors, C_factors=C_factors,
                           columns=columns, index=np.arange(1, grid.m + 1, dtype=float),
                           K_last=tuple((at_m(a), key) for a, key in K_factors), Cd_mm=Cd_mm,
-                          tied=(spec.family_K, spec.K_value) == (spec.family_C, spec.C_value))
+                          sums=_plan(spec, K_factors, C_factors))
+
+
+def _plan(spec: KernelSpec, K_factors, C_factors):
+    """``DiscreteKernel.sums`` for the pair, the RHS plan that ``dcasim.rhs`` defines."""
+    K, C = (fs if v else () for fs, v in ((K_factors, spec.K_value), (C_factors, spec.C_value)))
+    if K and (spec.family_K, spec.K_value) == (spec.family_C, spec.C_value):
+        return ((tuple((a, key, "row") for a, key in K),),) * 2
+    return tuple(tuple(tuple((a, key, kind) for a, key in fs)
+                       for fs, kind in ((K, K_kind), (C, C_kind)) if fs)
+                 for K_kind, C_kind in (("prefix", "suffix"), ("suffix", "prefix")))
 
 
 def probe_hypotheses(spec: KernelSpec) -> HypothesisReport:

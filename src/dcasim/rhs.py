@@ -15,37 +15,39 @@ with the four per-row sums
 The matrices carry the factor eps (``Kd = eps * K(eps i, eps j)``, the point
 rule) so no outer eps is applied here; a unit test pins this convention.
 Every kernel is evaluated through its separable factors
-``Kd[i,j] = sum_r a_r[i] * b_r[j]`` (``DiscreteKernel``): each sum is then a
-combination of prefix sums (suffix sums as ``total - prefix + own term``) of
-``b*j*c`` and ``b*c``, two cumulative sums per distinct ``b``, so one
-evaluation costs O(m) for every kernel.
+``Kd[i,j] = sum_r a_r[i] * b_r[j]`` (``DiscreteKernel``), so ``A + G`` (over
+``v = j*c``) and ``W + Z`` (over ``v = c``) are sums of terms ``a_r * S_r``,
+``S_r`` one of three kinds of sum of ``b_r * v`` over the row i:
 
-When K and C are the same kernel (``DiscreteKernel.tied``) the lower and
-upper sums telescope into full rows:
+    prefix   sum_{j<=i} b_r[j] * v_j             (a cumulative sum)
+    suffix   sum_{j>=i} b_r[j] * v_j             (total - prefix + own term)
+    row      sum_j b_r[j] * v_j + b_r[i] * v_i   (column total + own term)
 
-    A_i + G_i = sum_j j * Kd[i,j] * c_j + i * Kd[i,i] * c_i
-    W_i + Z_i = sum_j     Kd[i,j] * c_j +     Kd[i,i] * c_i
-
-so each is ``sum_r a_r * (T_r + b_r * v)`` with ``v`` = ``j*c`` or ``c`` and
-``T_r`` the column total of ``b_r * v``: one pairwise sum per factor and no
-cumulative sum.  Its rounding differs from the prefix-sum form's in the last
-bits: against exact rational arithmetic on ``x e^-x`` its L1 error is 0.77-1.00
-times theirs (``tests/test_rhs.py`` bounds the ratio by 2).  Every other pair
-keeps the prefix-sum path bit for bit.
+K's terms read prefix sums in ``A + G`` and suffix sums in ``W + Z``, C's the
+reverse.  When K and C are the same kernel the lower and upper sums telescope
+into full rows, ``A_i + G_i = sum_j j * Kd[i,j] * c_j + i * Kd[i,i] * c_i``
+and ``W_i + Z_i = sum_j Kd[i,j] * c_j + Kd[i,i] * c_i``, so the two kernels
+merge into row terms: one pairwise sum per factor and no cumulative sum.  A
+kernel of value 0 has no terms.  ``discretize`` writes this plan once per pair
+into ``DiscreteKernel.sums``, one group of terms per kernel (K's first) or one
+merged group; ``rhs_vector`` runs every pair through it, taking each sum once
+per call (a suffix reuses the prefix of its ``b_r``), so one evaluation costs
+O(m) for every kernel.  Row sums round differently from prefix sums in the
+last bits: against exact rational arithmetic on ``x e^-x`` their L1 error is
+0.77-1.00 times that of prefix sums (``tests/test_rhs.py`` bounds it by 2).
 
 Both functions run once per Dormand-Prince stage, so their cost per call sets
 the cost of a run.  They read the index vector ``1..m``, the last-row K
-factors and ``Cd[m,m]`` that ``discretize`` caches, build suffix sums and
-factor combinations in place, and reuse ``jc`` and then ``flux`` as scratch
-once read; ``rhs_vector`` writes into the integrator's stage buffer when
-given ``out``.  The rounding of every entry is that of the allocating forms
-kept in ``tests/oracle.py``.  At m = 4999 (eps = 0.002; best of 5 x 500
-calls on a 2-core box) ``rhs_vector`` takes about 37-42 us for constant,
-46-50 us for product and 71-77 us for sum kernels with K = C (84, 90 and
-165 us through prefix sums), and 80-90 us for a constant pair with C != K;
-``mass_defect_rate`` takes 5-9 us.  The defect is not yet folded into the
-RHS pass, although both read ``j * c``: the benchmark counts and times the
-two as separate calls through their ``dcasim.integrator`` bindings.
+factors and ``Cd[m,m]`` that ``discretize`` caches, and scale each fresh sum
+in place; ``rhs_vector`` writes into the integrator's stage buffer when given
+``out``.  The rounding of every entry is that of the allocating forms kept in
+``tests/oracle.py``.  At m = 4999 (eps = 0.002; best of 20 x 300 calls on a
+2-core box) ``rhs_vector`` takes about 25, 30 and 45 us for constant, product
+and sum kernels with K = C, 52 us for case 3's C = 0, 63 us for a constant
+pair with C != K and 100-120 us for mixed families; ``mass_defect_rate``
+takes 5-9 us.  The defect is not yet folded into the RHS pass, although both
+read ``j * c``: the benchmark counts and times the two as separate calls
+through their ``dcasim.integrator`` bindings.
 """
 
 from __future__ import annotations
@@ -55,27 +57,32 @@ import numpy as np
 from .kernels import DiscreteKernel
 
 
-def _combine(factors, sums, out):
-    """``out = sum_r a_r * sums[key_r]`` over the separable factors."""
-    (a, key), *rest = factors
-    np.multiply(a, sums[key], out=out)
-    for a, key in rest:
-        out += a * sums[key]
-    return out
-
-
-def _tied_combine(dk, v, out):
-    """``out = sum_r a_r * (sum(b_r * v) + b_r * v)``: ``A + G`` for ``v = j c``
-    and ``W + Z`` for ``v = c`` when K = C (a full row sum plus its own term)."""
-    for r, (a, key) in enumerate(dk.K_factors):
-        b = dk.columns[key]
-        term = out if r == 0 else np.empty_like(v)
-        own = v if b is None else np.multiply(b, v, out=term)
-        np.add(own, own.sum(), out=term)
-        term *= a
-        if r:
-            out += term
-    return out
+def _combine(groups, v, columns):
+    """The plan's sum over ``v`` as a new array, zero for no group: the terms
+    ``a_r * S_r`` of each group added in order, then the groups in order."""
+    total, prefixes = None, {}   # key -> (own term b * v, its prefix sum)
+    for group in groups:
+        acc = None
+        for a, key, kind in group:
+            if kind == "row" or key not in prefixes:
+                b = columns[key]
+                own = v if b is None else b * v
+            if kind == "row":   # in place unless own is v itself
+                term = np.add(own, own.sum(), out=None if b is None else own)
+                term *= a
+            else:
+                if key not in prefixes:
+                    prefixes[key] = own, own.cumsum()
+                own, pre = prefixes[key]
+                if kind == "prefix":   # scaled into a copy: a suffix may read pre later
+                    term = a * pre
+                else:
+                    term = np.subtract(pre[-1], pre)
+                    term += own
+                    term *= a
+            acc = term if acc is None else np.add(acc, term, out=acc)
+        total = acc if total is None else np.add(total, acc, out=total)
+    return np.zeros_like(v) if total is None else total
 
 
 def rhs_vector(c: np.ndarray, dk: DiscreteKernel, out: np.ndarray | None = None) -> np.ndarray:
@@ -84,31 +91,12 @@ def rhs_vector(c: np.ndarray, dk: DiscreteKernel, out: np.ndarray | None = None)
     ``out``, when given, receives the result; it must not share memory with ``c``.
     """
     Q = np.empty_like(c) if out is None else out
-    jc = dk.index * c
-    if dk.tied:
-        flux = _tied_combine(dk, jc, np.empty_like(c))
-        loss = _tied_combine(dk, c, jc)
-        flux *= c
-        loss *= c
-        Q[0] = -flux[0]
-        np.subtract(flux[:-1], flux[1:], out=Q[1:])
-        Q -= loss
-        return Q
-    pre_jc, suf_jc, pre_c, suf_c = {}, {}, {}, {}
-    for key, b in dk.columns.items():
-        bjc, bc = (jc, c) if b is None else (b * jc, b * c)
-        for pre, suf, own in ((pre_jc, suf_jc, bjc), (pre_c, suf_c, bc)):
-            pre[key] = own.cumsum()
-            suf[key] = np.subtract(pre[key][-1], pre[key])
-            suf[key] += own
-    # A + G and W + Z of the module docstring; jc, then flux, are reused once read
-    flux = _combine(dk.K_factors, pre_jc, np.empty_like(c))
-    flux += _combine(dk.C_factors, suf_jc, jc)
+    AG, WZ = dk.sums
+    flux = _combine(AG, dk.index * c, dk.columns)   # A + G and W + Z of the module docstring
     flux *= c
     Q[0] = -flux[0]
     np.subtract(flux[:-1], flux[1:], out=Q[1:])
-    loss = _combine(dk.K_factors, suf_c, jc)
-    loss += _combine(dk.C_factors, pre_c, flux)
+    loss = _combine(WZ, c, dk.columns)
     loss *= c
     Q -= loss
     return Q

@@ -174,6 +174,12 @@ def tied_sums(c: np.ndarray, dk: DiscreteKernel):
     return combine(np.arange(1, c.size + 1, dtype=float) * c), combine(c)
 
 
+def plan_kinds(dk: DiscreteKernel):
+    """The kinds of ``dk.sums``: per sum (``A + G``, ``W + Z``), per group, per term."""
+    return tuple(tuple(tuple(kind for *_, kind in group) for group in groups)
+                 for groups in dk.sums)
+
+
 def rhs_from_sums(c: np.ndarray, A, W, G, Z) -> np.ndarray:
     """Assemble the per-cell balance from the four per-row sums."""
     return rhs_from_pair_sums(c, A + G, W + Z)

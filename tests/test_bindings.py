@@ -77,12 +77,13 @@ def test_benchmark_tracer_installs(monkeypatch):
 def test_traced_rhs_counts_match_integrator_stats(monkeypatch):
     # perfbench/run.py rejects a run whose traced rhs_vector calls differ from
     # integrator.rhs_evals, or whose rhs.cell_evals differ from rhs_evals * m;
-    # checked on a tied (K = C) and an untied pair
+    # checked on K = C, on an untied pair and on case 3's C = 0, which plans no C term
     perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
     grid = small_grid(0.1, 7)
     try:
-        for spec in (KernelSpec(), KernelSpec(family_K="product", C_value=0.5)):
+        for spec in (KernelSpec(), KernelSpec(family_K="product", C_value=0.5),
+                     KernelSpec(C_value=0.0)):
             dk = discretize(spec, grid)
             tracer, counts = importlib.import_module("worker").install_tracer()
             try:

@@ -7,9 +7,10 @@ import pytest
 from dcasim.grid import build_grid
 from dcasim.kernels import (FAMILIES, HypothesisReport, KernelSpec, discretize,
                             probe_hypotheses)
+from dcasim.rhs import mass_defect_rate, rhs_vector
 from dcasim.runs import RunConfig
 
-from oracle import FAMILY_PAIRS, kernel_value, naive_matrices, small_grid
+from oracle import FAMILY_PAIRS, kernel_value, naive_matrices, plan_kinds, small_grid
 
 
 def _point_rule(spec, which, g):
@@ -49,7 +50,7 @@ def test_lambda_ties_C_to_K():
         np.testing.assert_allclose(dk.Cd, 0.5 * dk.Kd, rtol=1e-15)
 
 
-def test_tied_iff_K_and_C_are_the_same_kernel():
+def test_plan_merges_K_and_C_iff_same_kernel_and_skips_zero_kernels():
     g = build_grid(0.1, 2.0)
     for spec, tied in ((RunConfig(case="case2").kernel_pair(), True),
                        (RunConfig(case="case2", lam=0.5).kernel_pair(), False),
@@ -57,7 +58,20 @@ def test_tied_iff_K_and_C_are_the_same_kernel():
                        (KernelSpec(family_K="sum", K_value=1.0, family_C="sum", C_value=0.5), False),
                        (KernelSpec(family_K="product", family_C="constant"), False),
                        (KernelSpec(family_K="constant", family_C="sum"), False)):
-        assert discretize(spec, g).tied is tied, spec
+        merged = all(len(groups) == 1 and set(groups[0]) == {"row"}
+                     for groups in plan_kinds(discretize(spec, g)))
+        assert merged is tied, spec
+    # a zero-valued kernel contributes no term: case 3 (C = 0) plans K's terms only
+    assert plan_kinds(discretize(RunConfig(case="case3").kernel_pair(), g)) == (
+        (("prefix",),), (("suffix",),))
+    K_zero = KernelSpec(family_K="sum", K_value=0.0, family_C="product")
+    assert plan_kinds(discretize(K_zero, g)) == ((("suffix",),), (("prefix",),))
+    # kernel: {L: 0, C_value: 0} plans nothing: an all-zero RHS and no boundary defect
+    dk = discretize(KernelSpec(K_value=0.0, C_value=0.0), g)
+    assert plan_kinds(dk) == ((), ())
+    c = np.random.default_rng(53).random(g.m) - 0.3
+    np.testing.assert_array_equal(rhs_vector(c, dk), 0.0)
+    assert mass_defect_rate(c, dk) == 0.0
 
 
 def test_independent_C_family():

@@ -12,7 +12,7 @@ from dcasim.runs import RunConfig
 from oracle import (FAMILY_PAIRS, ORACLE_KERNELS, constant_mass_defect_rate,
                     constant_sums, dense_mass_defect_rate, dense_sums, exact_rhs, naive_rhs,
                     naive_weak_form, reference_mass_defect_rate, reference_rhs_vector,
-                    rhs_from_pair_sums, rhs_from_sums, small_grid, tied_sums,
+                    plan_kinds, rhs_from_pair_sums, rhs_from_sums, small_grid, tied_sums,
                     weak_form_rate)
 
 
@@ -50,7 +50,7 @@ def test_factor_path_matches_dense_reference():
 
 def test_constant_path_bitwise_matches_reference():
     # the O(m) constant-kernel formula, values and rounding unchanged when C != K;
-    # at C = K the column-total path rounds differently, within criterion 1's 1e-13
+    # at C = K the row sums round differently, within criterion 1's 1e-13
     # (K = 2.5, C = 2.5 is the constant entry of TIED_PAIRS)
     rng = np.random.default_rng(29)
     eps = 0.1
@@ -62,7 +62,8 @@ def test_constant_path_bitwise_matches_reference():
             c = rng.random(m) - 0.1
             ref = rhs_from_sums(c, *constant_sums(c, kval, cval))
             q = rhs_vector(c, dk)
-            if dk.tied:   # pinned bitwise by test_tied_path_bitwise_matches_allocating_reference
+            # K = C is pinned bitwise by test_tied_path_bitwise_matches_allocating_reference
+            if (spec.family_K, spec.K_value) == (spec.family_C, spec.C_value):
                 assert np.max(np.abs(q - ref)) <= 1e-13 * np.max(np.abs(ref)), m
             else:
                 np.testing.assert_array_equal(q, ref)
@@ -75,11 +76,11 @@ TIED_PAIRS = tuple(KernelSpec(family_K=fam, K_value=2.5, family_C=fam, C_value=2
 
 @pytest.mark.parametrize("spec", TIED_PAIRS, ids=lambda spec: spec.family_K)
 def test_tied_path_bitwise_matches_allocating_reference(spec):
-    # K = C: the column-total path, only written into reused buffers
+    # K = C: one merged group of row terms, each sum scaled in place
     rng = np.random.default_rng(43)
     for m in (2, 3, 17, 2000):
         dk = _dk(spec, float(rng.uniform(0.005, 0.4)), m)
-        assert dk.tied
+        assert plan_kinds(dk) == ((("row",) * len(dk.K_factors),),) * 2
         for c in (rng.random(m), rng.random(m) - 0.3, -rng.random(m)):
             np.testing.assert_array_equal(rhs_vector(c, dk),
                                           rhs_from_pair_sums(c, *tied_sums(c, dk)))
@@ -113,8 +114,11 @@ def test_rhs_out_receives_the_result():
 
 
 @pytest.mark.parametrize("spec", [
-    *FAMILY_PAIRS, *(dataclasses.replace(spec, C_value=0.0) for spec in FAMILY_PAIRS)],
-    ids=lambda spec: f"{spec.family_K}-{spec.family_C}-C{spec.C_value:g}")
+    *FAMILY_PAIRS, *(dataclasses.replace(spec, C_value=0.0) for spec in FAMILY_PAIRS),
+    *(dataclasses.replace(spec, K_value=0.0) for spec in FAMILY_PAIRS),
+    *(dataclasses.replace(spec, K_value=0.0, C_value=0.0) for spec in FAMILY_PAIRS)],
+    ids=lambda spec: f"{spec.family_K}-{spec.family_C}-C{spec.C_value:g}"
+                     + ("" if spec.K_value else "-K0"))
 def test_buffer_reusing_path_bitwise_matches_allocating_reference(spec):
     # the same operations in the same order, only written into reused buffers
     rng = np.random.default_rng(37)
@@ -140,11 +144,15 @@ def test_mass_defect_rate_memory():
         assert peak < 2 * 8 * m, family
 
 
-@pytest.mark.parametrize("family", ["product", "sum"])
-def test_rhs_memory_linear_in_m(family):
+@pytest.mark.parametrize("spec", [
+    KernelSpec(family_K="product", family_C="product"), KernelSpec(family_K="sum", family_C="sum"),
+    *(KernelSpec(family_K=fam, family_C=fam, C_value=0.7) for fam in FAMILIES),
+    KernelSpec(family_K="product", family_C="sum"), RunConfig(case="case3").kernel_pair()],
+    ids=["product", "sum", "constant-C0.7", "product-C0.7", "sum-C0.7", "product-sum", "case3"])
+def test_rhs_memory_linear_in_m(spec):
     # no m x m temporaries: at m = 2000 one such array alone is 32 MB
     m = 2000
-    dk = _dk(KernelSpec(family_K=family, family_C=family), 0.005, m)
+    dk = _dk(spec, 0.005, m)
     c = np.random.default_rng(31).random(m)
     tracemalloc.start()
     try:
