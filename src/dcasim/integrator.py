@@ -3,7 +3,16 @@
 Steps are shortened to land exactly on requested snapshot times, so no dense
 output is needed.  Alongside the concentrations the boundary mass-defect rate
 is accumulated with the same fifth-order quadrature as the solution itself,
-which closes the conservation accounting of the truncated system.
+which closes the conservation accounting of the truncated system.  Each RHS
+call writes its stage's defect rate D as well (``rhs_vector(..., defect=)``),
+so the quadrature takes no pass of its own, and the first stage's D, like its
+RHS, is the last stage's of the step before (FSAL) unless that step clamped.
+
+The last row of the tableau is the fifth-order weights (``b7 = 0``), so the
+sixth stage state is the candidate ``y + h * sum_s b_s k_s`` itself: the step
+keeps it instead of forming that sum again.  The loop's rounding is that of
+the form with a separate seven-term weight vector and one ``mass_defect_rate``
+call per stage, kept in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -13,10 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import DiscreteKernel
-from .rhs import mass_defect_rate, rhs_vector
+from .rhs import rhs_vector
 from .state import DiscreteState
 
-# Dormand-Prince 5(4) tableau (FSAL: the last stage is the next step's first).
+# Dormand-Prince 5(4) tableau (FSAL: the last stage is the next step's first);
+# its last row is the fifth-order weights.
 _A = [
     [],
     [1 / 5],
@@ -27,7 +37,6 @@ _A = [
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
 _A_ROWS = [np.array(row) for row in _A]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 # PI controller exponents for the 5(4) pair.
@@ -115,9 +124,10 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
     h = 1e-4 * span
 
     k = np.empty((7, y.size))
-    stages = np.empty((6, y.size))   # stage states 1..6, reused by the defect quadrature
-    inc, err, scale, y_new = (np.empty_like(y) for _ in range(4))
-    rhs_vector(y, dk, out=k[0])
+    d = np.empty(7)   # the defect rate D of each stage
+    stages = [np.empty_like(y) for _ in range(6)]   # stage states 1..6; the 6th is the candidate
+    inc, err, scale = (np.empty_like(y) for _ in range(3))
+    rhs_vector(y, dk, out=k[0], defect=d[0:1])
     stats.rhs_evals += 1
     err_prev = 1.0
 
@@ -131,34 +141,34 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
             raise IntegrationError(f"step size underflow at t={t}")
 
         for s in range(1, 7):
-            np.matmul(_A_ROWS[s], k[:s], out=inc)
+            if s == 1:   # a one-term row: a product, not a matmul
+                np.multiply(k[0], _A_ROWS[1][0], out=inc)
+            else:
+                np.matmul(_A_ROWS[s], k[:s], out=inc)
             inc *= h
             np.add(y, inc, out=stages[s - 1])
-            rhs_vector(stages[s - 1], dk, out=k[s])
+            rhs_vector(stages[s - 1], dk, out=k[s], defect=d[s:s + 1])
         stats.rhs_evals += 6
-        np.matmul(_B5, k, out=inc)
-        inc *= h
-        np.add(y, inc, out=y_new)
         np.matmul(_E, k, out=err)
         err *= h
-        err_norm = _error_norm(err, y, y_new, cfg.rtol, cfg.atol, scale, inc)
+        err_norm = _error_norm(err, y, stages[5], cfg.rtol, cfg.atol, scale, inc)
         steps += 1
 
         if err_norm <= 1.0:
             stats.accepted += 1
             # defect quadrature shares the propagating weights (b7 = 0)
-            defect_stages = [mass_defect_rate(ys, dk) for ys in (y, *stages[:5])]
-            defect_int += h * float(_B5[:6] @ np.array(defect_stages))
+            defect_int += h * float(_A_ROWS[6] @ d[:6])
 
             t = t + h
-            # the old state's buffer takes the next step's candidate
-            y, y_new = y_new, y
+            # the old state's buffer takes the next step's sixth stage
+            y, stages[5] = stages[5], y
             y, clamped = _clamp_negative(y, dk.index)
             stats.clamped_mass += clamped * state0.grid.epsilon ** 2
             if clamped == 0.0:
                 k[0] = k[6]
+                d[0] = d[6]
             else:
-                rhs_vector(y, dk, out=k[0])
+                rhs_vector(y, dk, out=k[0], defect=d[0:1])
                 stats.rhs_evals += 1
 
             if abs(t - target) <= 1e-12 * max(1.0, abs(target)):

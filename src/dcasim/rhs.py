@@ -36,18 +36,23 @@ O(m) for every kernel.  Row sums round differently from prefix sums in the
 last bits: against exact rational arithmetic on ``x e^-x`` their L1 error is
 0.77-1.00 times that of prefix sums (``tests/test_rhs.py`` bounds it by 2).
 
-Both functions run once per Dormand-Prince stage, so their cost per call sets
-the cost of a run.  They read the index vector ``1..m``, the last-row K
-factors and ``Cd[m,m]`` that ``discretize`` caches, and scale each fresh sum
-in place; ``rhs_vector`` writes into the integrator's stage buffer when given
-``out``.  The rounding of every entry is that of the allocating forms kept in
-``tests/oracle.py``.  At m = 4999 (eps = 0.002; best of 20 x 300 calls on a
-2-core box) ``rhs_vector`` takes about 25, 30 and 45 us for constant, product
-and sum kernels with K = C, 52 us for case 3's C = 0, 63 us for a constant
-pair with C != K and 100-120 us for mixed families; ``mass_defect_rate``
-takes 5-9 us.  The defect is not yet folded into the RHS pass, although both
-read ``j * c``: the benchmark counts and times the two as separate calls
-through their ``dcasim.integrator`` bindings.
+``rhs_vector`` runs once per Dormand-Prince stage, so its cost per call sets
+the cost of a run.  It reads the index vector ``1..m``, the last-row K factors
+and ``Cd[m,m]`` that ``discretize`` caches, scales each fresh sum in place, and
+writes into the integrator's stage buffer when given ``out``.  Given
+``defect``, the same pass also yields the boundary defect rate D of
+``mass_defect_rate``: its ``A_m`` is a sum of K's column totals
+``b_r . (j * c)``, which a ``row`` term takes anyway and a ``prefix`` term takes
+as one more ``sum`` (its last prefix would round differently), so the
+integrator makes no ``mass_defect_rate`` call.  That D is bit for bit the
+function's, except that with K = C = 0 a zero D may carry the other sign (K = 0
+takes no totals for ``a_r[m] = 0`` to multiply).  The rounding of every entry
+is that of the allocating forms kept in ``tests/oracle.py``.  At m = 4999
+(eps = 0.002; best of 20 x 300 calls on a 2-core box) ``rhs_vector`` takes
+about 25, 30 and 45 us for constant, product and sum kernels with K = C, 52 us
+for case 3's C = 0, 63 us for a constant pair with C != K and 100-120 us for
+mixed families; writing D adds about 1 us with K = C and about 3 us per prefix
+term of K otherwise, against 7-12 us for a ``mass_defect_rate`` call.
 """
 
 from __future__ import annotations
@@ -57,9 +62,16 @@ import numpy as np
 from .kernels import DiscreteKernel
 
 
-def _combine(groups, v, columns):
+def _combine(groups, v, columns, totals=None):
     """The plan's sum over ``v`` as a new array, zero for no group: the terms
-    ``a_r * S_r`` of each group added in order, then the groups in order."""
+    ``a_r * S_r`` of each group added in order, then the groups in order.
+
+    ``totals``, when given, receives in plan order the column total
+    ``sum_j b_r[j] * v_j`` of every ``row`` term and of every ``prefix`` term
+    that opens its column's prefix sum; in ``A + G`` these are exactly K's
+    terms, in K's factor order.  A prefix term's total is a fresh ``sum``, not
+    the last prefix: a cumulative sum rounds differently.
+    """
     total, prefixes = None, {}   # key -> (own term b * v, its prefix sum)
     for group in groups:
         acc = None
@@ -68,11 +80,16 @@ def _combine(groups, v, columns):
                 b = columns[key]
                 own = v if b is None else b * v
             if kind == "row":   # in place unless own is v itself
-                term = np.add(own, own.sum(), out=None if b is None else own)
+                column = own.sum()
+                if totals is not None:
+                    totals.append(column)
+                term = np.add(own, column, out=None if b is None else own)
                 term *= a
             else:
                 if key not in prefixes:
                     prefixes[key] = own, own.cumsum()
+                    if totals is not None and kind == "prefix":
+                        totals.append(own.sum())
                 own, pre = prefixes[key]
                 if kind == "prefix":   # scaled into a copy: a suffix may read pre later
                     term = a * pre
@@ -85,14 +102,20 @@ def _combine(groups, v, columns):
     return np.zeros_like(v) if total is None else total
 
 
-def rhs_vector(c: np.ndarray, dk: DiscreteKernel, out: np.ndarray | None = None) -> np.ndarray:
+def rhs_vector(c: np.ndarray, dk: DiscreteKernel, out: np.ndarray | None = None,
+               defect: np.ndarray | None = None) -> np.ndarray:
     """Time derivative of the concentration vector (no state wrapper).
 
     ``out``, when given, receives the result; it must not share memory with ``c``.
+    ``defect``, when given, is a one-entry array that receives the boundary
+    defect rate D of ``mass_defect_rate``, read off the same pass.
     """
     Q = np.empty_like(c) if out is None else out
     AG, WZ = dk.sums
-    flux = _combine(AG, dk.index * c, dk.columns)   # A + G and W + Z of the module docstring
+    totals = None if defect is None else []
+    flux = _combine(AG, dk.index * c, dk.columns, totals)   # A + G and W + Z of the module docstring
+    if defect is not None:
+        defect[0] = _defect(c, dk, totals)
     flux *= c
     Q[0] = -flux[0]
     np.subtract(flux[:-1], flux[1:], out=Q[1:])
@@ -110,17 +133,26 @@ def mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
     kernels, so interior mass is conserved exactly whenever the boundary cell
     is empty.
     """
-    m = c.size
-    if m != dk.grid.m:
+    if c.size != dk.grid.m:
         raise ValueError("state and discrete kernel live on different grids")
-    # A_m = sum_r a_r[m] * (b_r . jc); a "1" column precedes an "x" one in every
-    # family, so jc is scaled by the column in place after its plain sum is read
+    # a "1" column precedes an "x" one in every family, so jc is scaled by the
+    # column in place after its plain sum is read
     jc = dk.index * c
-    A_m = None
-    for a, key in dk.K_last:
+    totals = []
+    for _, key in dk.K_last:
         if dk.columns[key] is not None:
             jc *= dk.columns[key]
-        term = a * float(jc.sum())
+        totals.append(jc.sum())
+    return _defect(c, dk, totals)
+
+
+def _defect(c, dk, totals):
+    """``D`` with ``A_m = sum_r a_r[m] * totals[r]`` over K's last-row factors,
+    ``totals`` the column totals ``b_r . jc`` (none, as for K = 0: ``A_m = 0``)."""
+    A_m = None
+    for (a, _), column in zip(dk.K_last, totals):
+        term = a * float(column)
         A_m = term if A_m is None else A_m + term
-    cm = float(c[-1])
-    return float(-(m + 1) * cm * A_m - m * (m + 1) * dk.Cd_mm * cm * cm)
+    m, cm = c.size, float(c[-1])
+    return float(-(m + 1) * cm * (0.0 if A_m is None else A_m)
+                 - m * (m + 1) * dk.Cd_mm * cm * cm)

@@ -9,7 +9,9 @@ the O(m^2) row-cumulative sums over the dense matrices, and the O(m)
 prefix-sum formula for constant kernels.  The allocating separable-factor RHS
 and defect rate that the package ran before its buffer-reusing ones are kept
 too, and so is the allocating form of the column-total RHS it runs when
-K = C; the package's must equal them bit for bit.  An exact rational RHS
+K = C; the package's must equal them bit for bit.  So must its integrator the
+Dormand-Prince loop it ran before the defect rate came out of the RHS pass:
+one ``mass_defect_rate`` call per stage and a seven-term candidate sum.  An exact rational RHS
 measures the rounding of both.  The vectorised weak-form rate over
 the dense matrices lives here as well; no package code calls it.  The scalar relative-L1 error
 measurement the package used before its vectorised one is kept as well: one
@@ -31,7 +33,10 @@ from dcasim.analysis import ErrorReport
 from dcasim.exact import ExactCase, breakpoints, exact_solution
 from dcasim.grid import Grid
 from dcasim.kernels import FAMILIES, DiscreteKernel, KernelSpec
-from dcasim.rhs import rhs_vector
+from dcasim.integrator import (_A_ROWS, _E, _FAC_MAX, _FAC_MIN, _MAX_STEPS, _PI_ALPHA,
+                               _PI_BETA, _SAFETY, IntegrationError, IntegratorConfig,
+                               StepStats, _clamp_negative, _error_norm)
+from dcasim.rhs import mass_defect_rate, rhs_vector
 from dcasim.state import DiscreteState
 
 
@@ -305,6 +310,96 @@ def rk4_reference(c0: np.ndarray, dk: DiscreteKernel, t_end: float, h: float) ->
         k4 = rhs_vector(c + h * k3, dk)
         c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return c
+
+
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+
+
+def reference_integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
+                        snapshot_times) -> tuple[list[DiscreteState], StepStats]:
+    """``integrate`` with a separate candidate sum ``y + h * (_B5 @ k)`` and six
+    ``mass_defect_rate`` calls per accepted step (stage states 0..5)."""
+    times = [float(t) for t in snapshot_times]
+    stats = StepStats()
+    snapshots: list[DiscreteState] = []
+    t = float(state0.t)
+    y = state0.c.copy()
+    defect_int = 0.0
+    queue = list(times)
+    while queue and abs(queue[0] - t) <= 1e-14 * max(1.0, abs(t)):
+        snapshots.append(DiscreteState(state0.grid, y.copy(), queue.pop(0)))
+        stats.defect_integrals.append(defect_int)
+    if not queue:
+        return snapshots, stats
+
+    span = queue[-1] - t
+    h_max = span / 10.0
+    h = 1e-4 * span
+
+    k = np.empty((7, y.size))
+    stages = np.empty((6, y.size))
+    inc, err, scale, y_new = (np.empty_like(y) for _ in range(4))
+    rhs_vector(y, dk, out=k[0])
+    stats.rhs_evals += 1
+    err_prev = 1.0
+
+    steps = 0
+    while queue:
+        if steps >= _MAX_STEPS:
+            raise IntegrationError(f"exceeded {_MAX_STEPS} steps at t={t}")
+        target = queue[0]
+        h = min(h, h_max, target - t)
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise IntegrationError(f"step size underflow at t={t}")
+
+        for s in range(1, 7):
+            np.matmul(_A_ROWS[s], k[:s], out=inc)
+            inc *= h
+            np.add(y, inc, out=stages[s - 1])
+            rhs_vector(stages[s - 1], dk, out=k[s])
+        stats.rhs_evals += 6
+        np.matmul(_B5, k, out=inc)
+        inc *= h
+        np.add(y, inc, out=y_new)
+        np.matmul(_E, k, out=err)
+        err *= h
+        err_norm = _error_norm(err, y, y_new, cfg.rtol, cfg.atol, scale, inc)
+        steps += 1
+
+        if err_norm <= 1.0:
+            stats.accepted += 1
+            defect_stages = [mass_defect_rate(ys, dk) for ys in (y, *stages[:5])]
+            defect_int += h * float(_B5[:6] @ np.array(defect_stages))
+
+            t = t + h
+            y, y_new = y_new, y
+            y, clamped = _clamp_negative(y, dk.index)
+            stats.clamped_mass += clamped * state0.grid.epsilon ** 2
+            if clamped == 0.0:
+                k[0] = k[6]
+            else:
+                rhs_vector(y, dk, out=k[0])
+                stats.rhs_evals += 1
+
+            if abs(t - target) <= 1e-12 * max(1.0, abs(target)):
+                t = target
+                snapshots.append(DiscreteState(state0.grid, y.copy(), t))
+                stats.defect_integrals.append(defect_int)
+                queue.pop(0)
+
+            if err_norm == 0.0:
+                fac = _FAC_MAX
+            else:
+                fac = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+                fac = min(_FAC_MAX, max(_FAC_MIN, fac))
+            h = h * fac
+            err_prev = max(err_norm, 1e-10)
+        else:
+            stats.rejected += 1
+            fac = max(_FAC_MIN, _SAFETY * err_norm ** (-0.2))
+            h = h * fac
+
+    return snapshots, stats
 
 
 def _simpson(f, a: float, b: float, panels: int) -> float:

@@ -26,31 +26,31 @@ from oracle import small_grid
 
 def test_benchmark_bindings(monkeypatch):
     assert dcasim.integrator.rhs_vector is dcasim.rhs.rhs_vector
-    assert dcasim.integrator.mass_defect_rate is dcasim.rhs.mass_defect_rate
-    # traced rhs_vector calls must equal the integrator's own rhs_evals
-    calls = []
+    # traced rhs_vector calls must equal the integrator's own rhs_evals, and the
+    # integrator reads each stage's defect rate off that call, not mass_defect_rate
+    calls, defect_calls = [], []
+    original_defect = dcasim.rhs.mass_defect_rate
 
     def counted(c, dk, **kw):
         calls.append(None)
         return dcasim.rhs.rhs_vector(c, dk, **kw)
 
+    def counted_defect(c, dk):
+        defect_calls.append(None)
+        return original_defect(c, dk)
+
     monkeypatch.setattr(dcasim.integrator, "rhs_vector", counted)
+    for name, module in list(sys.modules.items()):   # every dcasim binding, as the tracer
+        if name.split(".")[0] == "dcasim":
+            for attr, value in list(vars(module).items()):
+                if value is original_defect:
+                    monkeypatch.setattr(module, attr, counted_defect)
     grid = small_grid(0.1, 6)
     dk = discretize(KernelSpec(C_value=1.0), grid)
     _, stats = integrate(DiscreteState(grid, np.linspace(1.0, 0.1, 6)), dk,
                          IntegratorConfig(), [0.5])
     assert len(calls) == stats.rhs_evals > 0
-    # traced mass_defect_rate calls must be six per accepted step
-    defect_calls = []
-
-    def counted_defect(c, dk):
-        defect_calls.append(None)
-        return dcasim.rhs.mass_defect_rate(c, dk)
-
-    monkeypatch.setattr(dcasim.integrator, "mass_defect_rate", counted_defect)
-    _, stats = integrate(DiscreteState(grid, np.linspace(1.0, 0.1, 6)), dk,
-                         IntegratorConfig(), [0.5])
-    assert len(defect_calls) == 6 * stats.accepted > 0
+    assert defect_calls == [] and stats.accepted > 0
     # kernels.dense_bytes is read as Kd.nbytes + Cd.nbytes
     assert dk.Kd.shape == dk.Cd.shape == (6, 6)
     assert dcasim.cli.run_sweep is dcasim.runs.run_sweep
@@ -63,12 +63,15 @@ def test_benchmark_tracer_installs(monkeypatch):
     # one is no longer bound in a dcasim module
     perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
-    original = dcasim.rhs.rhs_vector
+    original, mass_defect_rate = dcasim.rhs.rhs_vector, dcasim.rhs.mass_defect_rate
     try:
         tracer, _ = importlib.import_module("worker").install_tracer()
         assert dcasim.integrator.rhs_vector is not original
+        # mass_defect_rate is traced where it is defined, though no run calls it
+        assert dcasim.rhs.mass_defect_rate is not mass_defect_rate
         tracer.unpatch()
         assert dcasim.integrator.rhs_vector is dcasim.rhs.rhs_vector is original
+        assert dcasim.rhs.mass_defect_rate is mass_defect_rate
     finally:
         for name in ("worker", "tracer", "workloads"):
             sys.modules.pop(name, None)

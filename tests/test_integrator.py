@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import dcasim.integrator
+from dcasim.exact import ExactCase, initial_profile
 from dcasim.grid import build_grid
 from dcasim.integrator import IntegrationError, IntegratorConfig, integrate
-from dcasim.kernels import KernelSpec, discretize
+from dcasim.kernels import FAMILIES, KernelSpec, discretize
 from dcasim.state import DiscreteState, moment, project_initial
 
-from oracle import rk4_reference, small_grid
+from oracle import reference_integrate, rk4_reference, small_grid
 
 CONST = KernelSpec(family_K="constant", K_value=1.0, C_value=1.0)
 
@@ -125,3 +126,38 @@ def test_stats_metadata_keys():
     md = stats.metadata()
     assert set(md) == {"accepted", "rejected", "rhs_evals", "clamped_mass"}
     assert md["rhs_evals"] >= 6 * md["accepted"]
+
+
+_CASE1, _CASE3 = ExactCase("case1"), ExactCase("case3")
+_TIGHT, _LOOSE = IntegratorConfig(), IntegratorConfig(rtol=1e-3, atol=1e-6)
+# (case profile, kernel pair, eps, tolerances, snapshot times, whether a step clamps)
+_LOOP_RUNS = {
+    **{f"{fam}-tied": (_CASE1, KernelSpec(family_K=fam, family_C=fam), 0.1, _TIGHT,
+                       (0.1, 0.2) if fam == "product" else (0.5, 1.0), False)
+       for fam in FAMILIES},
+    "case3-C0": (_CASE3, _CASE3.kernel(), 0.05, _TIGHT, (0.5, 1.0), False),
+    "K0": (_CASE1, KernelSpec(K_value=0.0, family_C="sum", C_value=0.5), 0.1, _TIGHT,
+           (0.5, 1.0), False),
+    "product-constant": (_CASE1, KernelSpec(family_K="product", C_value=0.5), 0.1, _TIGHT,
+                         (0.1, 0.2), False),
+    # K = C = xy on case 3's profile gels at t0 = 2/9; past it a loose step goes negative
+    "product-tied-clamps": (_CASE3, KernelSpec(family_K="product", family_C="product"), 0.1,
+                            _LOOSE, (0.5, 1.0), True),
+}
+
+
+@pytest.mark.parametrize("run", _LOOP_RUNS.values(), ids=_LOOP_RUNS)
+def test_integrate_bitwise_matches_reference_loop(run):
+    # the candidate taken as the sixth stage state and the defect rates read off
+    # the RHS pass round exactly as the separate candidate sum and defect calls
+    case, spec, eps, cfg, times, clamps = run
+    grid = build_grid(eps, 10.0)
+    dk = discretize(spec, grid)
+    st0, _ = project_initial(initial_profile(case), grid)
+    snaps, stats = integrate(st0, dk, cfg, times)
+    ref_snaps, ref_stats = reference_integrate(st0, dk, cfg, times)
+    assert (stats.clamped_mass > 0.0) == clamps
+    assert stats == ref_stats
+    assert [s.t for s in snaps] == [s.t for s in ref_snaps] == list(times)
+    for s, r in zip(snaps, ref_snaps):
+        assert s.c.tobytes() == r.c.tobytes()

@@ -113,20 +113,56 @@ def test_rhs_out_receives_the_result():
         np.testing.assert_array_equal(out, rhs_vector(c, dk))
 
 
-@pytest.mark.parametrize("spec", [
-    *FAMILY_PAIRS, *(dataclasses.replace(spec, C_value=0.0) for spec in FAMILY_PAIRS),
-    *(dataclasses.replace(spec, K_value=0.0) for spec in FAMILY_PAIRS),
-    *(dataclasses.replace(spec, K_value=0.0, C_value=0.0) for spec in FAMILY_PAIRS)],
-    ids=lambda spec: f"{spec.family_K}-{spec.family_C}-C{spec.C_value:g}"
-                     + ("" if spec.K_value else "-K0"))
-def test_buffer_reusing_path_bitwise_matches_allocating_reference(spec):
-    # the same operations in the same order, only written into reused buffers
+def _variants():
+    """Every pair of FAMILY_PAIRS with C = 0, K = 0 and K = C = 0 as well, each
+    distinct (family, value) pair once."""
+    specs = {}
+    for changes in ({}, {"C_value": 0.0}, {"K_value": 0.0}, {"K_value": 0.0, "C_value": 0.0}):
+        for spec in FAMILY_PAIRS:
+            spec = dataclasses.replace(spec, **changes)
+            specs.setdefault((spec.family_K, spec.K_value, spec.family_C, spec.C_value), spec)
+    return tuple(specs.values())
+
+
+VARIANTS = _variants()
+
+
+def _variant_id(spec):
+    return f"{spec.family_K}-{spec.family_C}-C{spec.C_value:g}" + ("" if spec.K_value else "-K0")
+
+
+def _variant_inputs(spec):
+    """(dk, c) at m = 2, 3, 17 and 2000, positive, signed and negative states."""
     rng = np.random.default_rng(37)
     for m in (2, 3, 17, 2000):
         dk = _dk(spec, float(rng.uniform(0.005, 0.4)), m)
         for c in (rng.random(m), rng.random(m) - 0.3, -rng.random(m)):
-            np.testing.assert_array_equal(rhs_vector(c, dk), reference_rhs_vector(c, dk))
-            assert mass_defect_rate(c, dk) == reference_mass_defect_rate(c, dk), (spec, m)
+            yield dk, c
+
+
+@pytest.mark.parametrize("spec", VARIANTS, ids=_variant_id)
+def test_buffer_reusing_path_bitwise_matches_allocating_reference(spec):
+    # the same operations in the same order, only written into reused buffers
+    for dk, c in _variant_inputs(spec):
+        np.testing.assert_array_equal(rhs_vector(c, dk), reference_rhs_vector(c, dk))
+        assert mass_defect_rate(c, dk) == reference_mass_defect_rate(c, dk), (spec, c.size)
+
+
+@pytest.mark.parametrize("spec", VARIANTS, ids=_variant_id)
+def test_fused_defect_equals_mass_defect_rate(spec):
+    # D read off the RHS pass: K's column totals summed as mass_defect_rate sums
+    # them, and the RHS itself unchanged.  With K = 0 the pass takes no totals,
+    # which mass_defect_rate only multiplies by a_r[m] = 0; so when C = 0 too,
+    # D is a zero that may carry the other sign
+    for dk, c in _variant_inputs(spec):
+        defect, out = np.full(1, np.nan), np.empty_like(c)
+        rhs_vector(c, dk, out=out, defect=defect)
+        np.testing.assert_array_equal(out, rhs_vector(c, dk))
+        expected = mass_defect_rate(c, dk)
+        if spec.K_value or spec.C_value:
+            assert defect.tobytes() == np.float64(expected).tobytes(), (spec, c.size)
+        else:
+            assert defect[0] == expected == 0.0, (spec, c.size)
 
 
 def test_mass_defect_rate_memory():
