@@ -113,18 +113,16 @@ def test_rhs_out_receives_the_result():
         np.testing.assert_array_equal(out, rhs_vector(c, dk))
 
 
-def _variants():
-    """Every pair of FAMILY_PAIRS with C = 0, K = 0 and K = C = 0 as well, each
-    distinct (family, value) pair once."""
-    specs = {}
-    for changes in ({}, {"C_value": 0.0}, {"K_value": 0.0}, {"K_value": 0.0, "C_value": 0.0}):
-        for spec in FAMILY_PAIRS:
-            spec = dataclasses.replace(spec, **changes)
-            specs.setdefault((spec.family_K, spec.K_value, spec.family_C, spec.C_value), spec)
-    return tuple(specs.values())
+# every pair of FAMILY_PAIRS with C = 0, K = 0 and K = C = 0 as well; the tied
+# pairs of a family coincide once C = 0, so some specs appear twice
+ALL_VARIANTS = tuple(
+    dataclasses.replace(spec, **changes)
+    for changes in ({}, {"C_value": 0.0}, {"K_value": 0.0}, {"K_value": 0.0, "C_value": 0.0})
+    for spec in FAMILY_PAIRS)
 
-
-VARIANTS = _variants()
+# each distinct (family, value) pair once
+VARIANTS = tuple({(spec.family_K, spec.K_value, spec.family_C, spec.C_value): spec
+                  for spec in ALL_VARIANTS}.values())
 
 
 def _variant_id(spec):
@@ -140,7 +138,7 @@ def _variant_inputs(spec):
             yield dk, c
 
 
-@pytest.mark.parametrize("spec", VARIANTS, ids=_variant_id)
+@pytest.mark.parametrize("spec", ALL_VARIANTS, ids=_variant_id)
 def test_buffer_reusing_path_bitwise_matches_allocating_reference(spec):
     # the same operations in the same order, only written into reused buffers
     for dk, c in _variant_inputs(spec):
