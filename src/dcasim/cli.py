@@ -41,6 +41,11 @@ _FLAGS = {
 }
 
 
+# The ``kernel:`` block's keys and the ``KernelSpec`` fields they set; an absent
+# key leaves the field's default.
+_KERNEL_KEYS = {"K": "family_K", "L": "K_value", "C": "family_C", "C_value": "C_value",
+                "declared_bounds": "declared_bounds"}
+
 # The settings ``validate`` reads; it rejects any other rather than ignore it.
 _VALIDATE_READS = {"case", "lam", "kernel"}
 
@@ -82,16 +87,13 @@ def _load_config(args, reads=None) -> RunConfig:
     kb = fields.get("kernel")
     if kb is not None:
         try:
-            extra = set(kb) - {"K", "L", "C", "C_value", "declared_bounds"}
+            extra = set(kb) - set(_KERNEL_KEYS)
             if extra:
                 raise ValueError(f"unknown keys {', '.join(sorted(map(str, extra)))}")
-            fields["kernel"] = KernelSpec(
-                family_K=kb.get("K", "constant"),
-                K_value=kb.get("L", 1.0),
-                family_C=kb.get("C", "constant"),
-                C_value=kb.get("C_value", 1.0),
-                declared_bounds=dict(kb.get("declared_bounds") or {}),
-            )
+            given = {_KERNEL_KEYS[key]: value for key, value in kb.items()}
+            if "declared_bounds" in given:   # null reads as no bounds
+                given["declared_bounds"] = dict(given["declared_bounds"] or {})
+            fields["kernel"] = KernelSpec(**given)
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"config key 'kernel': {exc}") from exc
     try:

@@ -51,11 +51,9 @@ def build_grid(epsilon: float, x_max: float = 10.0) -> Grid:
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if x_max < 3.0 * epsilon:
-        raise ValueError(f"x_max={x_max} too small for 3 cells of width {epsilon}")
     # Nudge guards against ratios like 10/0.005 landing just below an integer.
     m = int(math.floor(x_max / epsilon - 0.5 + 1e-9))
     if m < 3:
-        raise ValueError(f"grid would have only {m} cells; need at least 3")
+        raise ValueError(f"x_max={x_max} holds fewer than 3 cells of width epsilon={epsilon}")
     return Grid(epsilon=epsilon, x_max=x_max, m=m)
 

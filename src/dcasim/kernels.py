@@ -87,7 +87,8 @@ class DiscreteKernel:
     The O(m) RHS and defect rate read only the factors and what is derived
     from them once here: ``index`` is ``1..m`` as floats, ``K_last`` the
     last-row factors ``(a_r[m], key_r)`` and ``Cd_mm`` the entry ``Cd[m, m]``,
-    each rounded as the factor sums round them.  ``sums`` is the RHS's plan:
+    both the factors evaluated at the last centre ``x_m`` and so rounded as
+    the factor sums round them.  ``sums`` is the RHS's plan:
     for ``A + G`` and for ``W + Z`` its groups of terms ``(a_r, key_r, kind)``,
     one per kernel of nonzero value (K's first) or one merged group of ``row``
     terms when K and C are the same kernel (``dcasim.rhs`` defines the kinds).
@@ -144,20 +145,16 @@ def discretize(spec: KernelSpec, grid: Grid) -> DiscreteKernel:
     K_factors = _FACTORS[spec.family_K](grid.epsilon * spec.K_value, xs)
     C_factors = _FACTORS[spec.family_C](grid.epsilon * spec.C_value, xs)
     columns = {key: None if key == "1" else xs for _, key in K_factors + C_factors}
-
-    def at_m(a):  # a row factor (scalar or vector) in row m
-        return float(np.broadcast_to(a, xs.shape)[-1])
-
-    # Cd[m, m] = sum_r a_r[m] * b_r[m], added in factor order as the factor sums add it
-    b_m = {"1": 1.0, "x": float(xs[-1])}
-    (a, key), *rest = C_factors
-    Cd_mm = at_m(a) * b_m[key]
-    for a, key in rest:
-        Cd_mm += at_m(a) * b_m[key]
+    # row m's factors are the family's factors at the last centre: the same products
+    x_m = float(xs[-1])
+    b_m = {"1": 1.0, "x": x_m}
+    Cd_mm = 0.0   # sum_r a_r[m] * b_r[m], added in factor order as the factor sums add it
+    for a, key in _FACTORS[spec.family_C](grid.epsilon * spec.C_value, x_m):
+        Cd_mm += a * b_m[key]
     return DiscreteKernel(grid=grid, spec=spec, K_factors=K_factors, C_factors=C_factors,
                           columns=columns, index=np.arange(1, grid.m + 1, dtype=float),
-                          K_last=tuple((at_m(a), key) for a, key in K_factors), Cd_mm=Cd_mm,
-                          sums=_plan(spec, K_factors, C_factors))
+                          K_last=_FACTORS[spec.family_K](grid.epsilon * spec.K_value, x_m),
+                          Cd_mm=Cd_mm, sums=_plan(spec, K_factors, C_factors))
 
 
 def _plan(spec: KernelSpec, K_factors, C_factors):

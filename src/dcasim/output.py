@@ -39,14 +39,14 @@ def write_moments_csv(path: str, series: MomentSeries, metadata: dict):
 
 
 def write_error_table_csv(path: str, table: ConvergenceTable, metadata: dict,
-                          failures: dict | None = None):
-    """Error ladder at one time, with the cumulative order estimate per row."""
+                          failures: dict):
+    """Error ladder at one time, with the cumulative order estimate per row and
+    a ``# failed`` header line per epsilon in ``failures`` (epsilon -> message)."""
     with open(path, "w") as fh:
         for line in _metadata_lines({"t": table.t, **metadata}):
             fh.write(line + "\n")
-        if failures:
-            for eps, msg in failures.items():
-                fh.write(f"# failed epsilon={eps}: {msg}\n")
+        for eps, msg in failures.items():
+            fh.write(f"# failed epsilon={eps}: {msg}\n")
         fh.write("epsilon,t,E1,order_estimate_cumulative\n")
         for k, (eps, err) in enumerate(table.rows):
             if k >= 1:

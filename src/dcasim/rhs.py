@@ -45,14 +45,13 @@ writes into the integrator's stage buffer when given ``out``.  Given
 ``b_r . (j * c)``, which a ``row`` term takes anyway and a ``prefix`` term takes
 as one more ``sum`` (its last prefix would round differently), so the
 integrator makes no ``mass_defect_rate`` call.  That D is bit for bit the
-function's, except that with K = C = 0 a zero D may carry the other sign (K = 0
-takes no totals for ``a_r[m] = 0`` to multiply).  The rounding of every entry
-is that of the allocating forms kept in ``tests/oracle.py``.  At m = 4999
-(eps = 0.002; best of 20 x 300 calls on a 2-core box) ``rhs_vector`` takes
-about 25, 30 and 45 us for constant, product and sum kernels with K = C, 52 us
-for case 3's C = 0, 63 us for a constant pair with C != K and 100-120 us for
-mixed families; writing D adds about 1 us with K = C and about 3 us per prefix
-term of K otherwise, against 7-12 us for a ``mass_defect_rate`` call.
+function's.  The rounding of every entry is that of the allocating forms kept
+in ``tests/oracle.py``.  At m = 4999 (eps = 0.002; best of 20 x 300 calls on a
+2-core box) ``rhs_vector`` takes about 25, 30 and 45 us for constant, product
+and sum kernels with K = C, 52 us for case 3's C = 0, 63 us for a constant
+pair with C != K and 100-120 us for mixed families; writing D adds about 1 us
+with K = C and about 3 us per prefix term of K otherwise, against 7-12 us for
+a ``mass_defect_rate`` call.
 """
 
 from __future__ import annotations
@@ -148,11 +147,9 @@ def mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
 
 def _defect(c, dk, totals):
     """``D`` with ``A_m = sum_r a_r[m] * totals[r]`` over K's last-row factors,
-    ``totals`` the column totals ``b_r . jc`` (none, as for K = 0: ``A_m = 0``)."""
-    A_m = None
+    ``totals`` the column totals ``b_r . jc`` (none for K = 0, whose plan has no terms)."""
+    A_m = 0.0
     for (a, _), column in zip(dk.K_last, totals):
-        term = a * float(column)
-        A_m = term if A_m is None else A_m + term
+        A_m += a * float(column)
     m, cm = c.size, float(c[-1])
-    return float(-(m + 1) * cm * (0.0 if A_m is None else A_m)
-                 - m * (m + 1) * dk.Cd_mm * cm * cm)
+    return float(-(m + 1) * cm * A_m - m * (m + 1) * dk.Cd_mm * cm * cm)

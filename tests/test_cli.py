@@ -124,6 +124,48 @@ def test_cli_import_leaves_yaml_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test and benchmark dependency only: no subcommand imports it
+    out = tmp_path / "out"
+    sweep = _write_config(tmp_path, {"case": "case1", "epsilon_list": [0.2, 0.1],
+                                     "snapshot_times": [1.0]}, name="sweep.yaml")
+    runs = [["validate", "--case", "case1"],
+            ["simulate", "--config", _write_config(tmp_path, FAST_YAML), "--out", str(out / "sim")],
+            ["sweep", "--config", sweep, "--out", str(out / "sweep")]]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None   # any import of scipy now raises ImportError\n"
+            "from dcasim.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n")
+    src = pathlib.Path(dcasim.cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS"), proc.stdout
+    assert sorted(os.listdir(out / "sim")) == ["moments.csv", "snapshot_t0.5.csv",
+                                               "snapshot_t1.csv"]
+    assert os.listdir(out / "sweep") == ["errors_t1.csv"]
+
+
+def _loaded_kernel(tmp_path, block):
+    cfg = _write_config(tmp_path, {**FAST_YAML, "kernel": block})
+    args = dcasim.cli.build_parser().parse_args(["simulate", "--config", cfg])
+    return dcasim.cli._load_config(args).kernel
+
+
+@pytest.mark.parametrize("block", [{}, {"declared_bounds": None}], ids=["empty", "bounds-null"])
+def test_kernel_block_defaults_are_kernel_spec_defaults(tmp_path, block):
+    assert _loaded_kernel(tmp_path, block) == KernelSpec()
+
+
+@pytest.mark.parametrize("key, field, value", [
+    ("K", "family_K", "product"), ("L", "K_value", 2.5), ("C", "family_C", "sum"),
+    ("C_value", "C_value", 0.5), ("declared_bounds", "declared_bounds", {"M_cal": 2.0})])
+def test_kernel_block_key_sets_only_its_field(tmp_path, key, field, value):
+    expected = dataclasses.replace(KernelSpec(), **{field: value})
+    assert _loaded_kernel(tmp_path, {key: value}) == expected
+
+
 def test_bad_epsilon_is_config_error(tmp_path):
     cfg = _write_config(tmp_path, FAST_YAML)
     assert main(["simulate", "--config", cfg, "--epsilon", "1.5"]) == EXIT_CONFIG

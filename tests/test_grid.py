@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ def test_build_grid_rejects_short_domain():
     # eps=0.5, x_max=1.5 would give m=2 cells
     with pytest.raises(ValueError):
         build_grid(0.5, 1.5)
+
+
+@pytest.mark.parametrize("epsilon, x_max", [(0.5, 1.0), (0.1, 0.05), (0.1, -1.0)])
+def test_short_domain_message_names_x_max(epsilon, x_max):
+    # one rule, m >= 3, whose message names x_max and eps, never a cell count
+    with pytest.raises(ValueError, match="x_max") as info:
+        build_grid(epsilon, x_max)
+    message = str(info.value)
+    assert f"epsilon={epsilon}" in message
+    assert not re.search(r"-\d", message.replace(f"x_max={x_max}", ""))
 
 
 def test_edges_and_centers():
