@@ -52,7 +52,6 @@ class MomentBoundReport:
     mass_conserved: bool
     riccati_bound: np.ndarray | None
     riccati_checked_mask: np.ndarray | None
-    gelation_envelope: np.ndarray | None
     violations: list
 
 
@@ -152,11 +151,10 @@ def moment_diagnostics(series: MomentSeries, spec: KernelSpec, epsilon: float,
     """Check the moment identities and declared growth bounds along a run.
 
     Checks: monotone decay of the particle count M0; constancy of the interior
-    mass M1 up to the integrated boundary defect; the second-moment Riccati
-    bound when product-growth constants A1/A2 are declared; and the mass-decay
-    envelope when the product lower bound K1 is declared.  The envelope is a
-    diagnostic only: it concerns the untruncated system, whose mass loss shows
-    up here as boundary-defect activation instead.
+    mass M1 up to the integrated boundary defect; and the second-moment Riccati
+    bound when product-growth constants A1/A2 are declared.  The truncated
+    system shows the untruncated one's mass loss as boundary-defect outflow,
+    which the M1 check accounts for.
     """
     if not series.times:
         raise ValueError("empty moment series")
@@ -164,7 +162,6 @@ def moment_diagnostics(series: MomentSeries, spec: KernelSpec, epsilon: float,
     M0 = np.asarray(series.M0)
     M1 = np.asarray(series.M1)
     M2 = np.asarray(series.M2)
-    Y1 = np.asarray(series.Y1)
     defect = np.asarray(series.defect_integral)
     violations = []
 
@@ -198,24 +195,10 @@ def moment_diagnostics(series: MomentSeries, spec: KernelSpec, epsilon: float,
             if ok and m2 > bound * (1.0 + 1e-9):
                 violations.append(("second_moment_bound", float(tm)))
 
-    envelope = None
-    k1 = spec.declared_bounds.get("K1")
-    if k1 is not None:
-        n0 = series.N_count[0]
-        envelope = np.full_like(times, np.inf)
-        pos = times > times[0]
-        # discrete-index lower bound constant for the stored eps-scaled kernel
-        k1_eff = k1 * epsilon**3
-        envelope[pos] = np.sqrt(2.0 * n0 / (k1_eff * (times[pos] - times[0])))
-        for tm, y1, env in zip(times[pos], Y1[pos], envelope[pos]):
-            if y1 > env * (1.0 + 1e-9):
-                violations.append(("mass_decay_envelope", float(tm)))
-
     return MomentBoundReport(
         number_nonincreasing=number_ok,
         mass_conserved=mass_ok,
         riccati_bound=riccati,
         riccati_checked_mask=mask,
-        gelation_envelope=envelope,
         violations=violations,
     )

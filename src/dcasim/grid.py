@@ -46,11 +46,13 @@ class Grid:
 def build_grid(epsilon: float, x_max: float = 10.0) -> Grid:
     """Build the cell partition with ``m = floor(x_max/epsilon - 1/2)`` cells.
 
-    Raises ``ValueError`` if ``epsilon`` is outside ``(0, 1)`` or the domain is
-    too short to hold three cells.
+    Raises ``ValueError`` if ``epsilon`` is outside ``(0, 1)``, ``x_max`` is not
+    finite or the domain is too short to hold three cells.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not math.isfinite(x_max):
+        raise ValueError(f"x_max must be a finite number, got {x_max!r}")
     # Nudge guards against ratios like 10/0.005 landing just below an integer.
     m = int(math.floor(x_max / epsilon - 0.5 + 1e-9))
     if m < 3:

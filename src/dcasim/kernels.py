@@ -27,8 +27,8 @@ _FACTORS = {
 }
 FAMILIES = tuple(_FACTORS)
 
-# Growth constants read by probe_hypotheses (M_cal) and moment_diagnostics (A1, A2, K1).
-BOUND_KEYS = ("M_cal", "A1", "A2", "K1")
+# Growth constants read by probe_hypotheses (M_cal) and moment_diagnostics (A1, A2).
+BOUND_KEYS = ("M_cal", "A1", "A2")
 
 
 def finite_float(name: str, value) -> float:
@@ -46,8 +46,8 @@ class KernelSpec:
     ``declared_bounds`` carries optional nonnegative growth constants, by key:
 
     - ``M_cal``: uniform bound on C, condition CH2 (``probe_hypotheses``),
-    - ``A1``, ``A2``: product-growth constants K <= A1*x*y, C <= A2*x*y,
-    - ``K1``: product lower-bound constant K >= K1*x*y (both ``moment_diagnostics``).
+    - ``A1``, ``A2``: product-growth constants K <= A1*x*y, C <= A2*x*y
+      (the second-moment bound of ``moment_diagnostics``).
 
     A run (``RunConfig``) accepts ``M_cal`` only, since no run calls
     ``moment_diagnostics``.

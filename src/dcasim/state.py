@@ -67,8 +67,8 @@ class ProjectionLoss:
 
 
 def _simpson_nodes_weights(panels: int):
-    if panels % 2 or panels < 2:
-        raise ValueError("panel count must be even and >= 2")
+    # every caller passes an even constant: ``_PROJECTION_PANELS``, ``_NORM_PANELS``
+    # or ``analysis._PANELS``
     w = np.ones(panels + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

@@ -162,6 +162,20 @@ def test_diagnostics_riccati_denominator_mask():
     assert not bool(rep.riccati_checked_mask[1])
 
 
+@pytest.mark.parametrize("growth, breach", [(1.0, False), (2.0, True)])
+def test_diagnostics_flags_second_moment_above_riccati_bound(growth, breach):
+    # the bound rises about 10% by t = 1e-3, before the denominator's zero near
+    # t = 0.0115, so an M2 that doubles by then breaches it
+    g = build_grid(0.1, 5.0)
+    c = np.full(g.m, 0.5)
+    states = [DiscreteState(g, c, 0.0), DiscreteState(g, growth * c, 1e-3)]
+    spec = KernelSpec(family_K="product", family_C="product",
+                      declared_bounds={"A1": 1.0, "A2": 1.0})
+    rep = moment_diagnostics(_series_from(states, [0.0, 0.0]), spec, g.epsilon)
+    assert bool(np.all(rep.riccati_checked_mask))
+    assert (("second_moment_bound", 1e-3) in rep.violations) == breach
+
+
 def test_diagnostics_empty_series_rejected():
     with pytest.raises(ValueError):
         moment_diagnostics(MomentSeries(), KernelSpec(), 0.1)

@@ -115,6 +115,15 @@ def test_malformed_yaml_is_config_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_non_mapping_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "list.yaml"
+    cfg.write_text("- epsilon: 0.1\n")
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config {cfg}: top level must be a mapping" in err
+    assert "Traceback" not in err
+
+
 def test_cli_import_leaves_yaml_unloaded():
     # only --config reads YAML, so importing the CLI must not pay for the parser
     src = pathlib.Path(dcasim.cli.__file__).resolve().parent.parent

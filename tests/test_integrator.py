@@ -119,6 +119,14 @@ def test_max_steps_exhaustion_raises(monkeypatch):
         integrate(st0, dk, IntegratorConfig(), [1.0])
 
 
+def test_step_size_underflow_raises():
+    # the second snapshot lies one ulp past the first, a step below the floor
+    grid, dk = _setup(m=4)
+    st0 = DiscreteState(grid, np.ones(4))
+    with pytest.raises(IntegrationError, match="step size underflow at t=1.0"):
+        integrate(st0, dk, IntegratorConfig(), [1.0, np.nextafter(1.0, 2.0)])
+
+
 def test_stats_metadata_keys():
     grid, dk = _setup(m=4)
     st0 = DiscreteState(grid, np.ones(4))

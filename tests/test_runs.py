@@ -23,7 +23,7 @@ def test_config_validation():
                 {"snapshot_times": 1.0}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
-    # a run reads the declared bound M_cal (CH2); A1, A2 and K1 feed only moment_diagnostics
+    # a run reads the declared bound M_cal (CH2); A1 and A2 feed only moment_diagnostics
     spec = KernelSpec(declared_bounds={"M_cal": 2.0})
     assert RunConfig(kernel=spec).kernel is spec
     # snapshot times are stored sorted, without repeats

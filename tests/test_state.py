@@ -34,6 +34,12 @@ def test_project_zero_data():
     assert loss.dust == 0.0 and loss.tail == 0.0
 
 
+def test_project_rejects_non_finite_profile():
+    g = build_grid(0.1, 1.0)
+    with pytest.raises(FloatingPointError):
+        project_initial(lambda x: np.full(np.shape(x), np.nan), g)
+
+
 def test_project_uniform_interior_cell():
     # cell 5 of the eps=0.1 grid sits fully inside [0, 3]
     g = build_grid(0.1, 10.0)
