@@ -44,13 +44,13 @@ def test_short_domain_message_names_x_max(epsilon, x_max):
     assert not re.search(r"-\d", message.replace(f"x_max={x_max}", ""))
 
 
-
 @pytest.mark.parametrize("x_max", [math.inf, -math.inf, math.nan])
 def test_non_finite_x_max_message_names_x_max(x_max):
     # checked before the cell count, whose floor cannot take inf or nan
     with pytest.raises(ValueError, match="x_max") as info:
         build_grid(0.1, x_max)
     assert repr(x_max) in str(info.value)
+
 
 def test_edges_and_centers():
     g = build_grid(0.1, 1.0)
