@@ -43,19 +43,26 @@ class Grid:
         return self.epsilon * (np.arange(1, self.m + 1, dtype=float) + 0.5)
 
 
+# Largest cell count a grid may have: one state vector is then 80 MB.
+_MAX_CELLS = 10**7
+
+
 def build_grid(epsilon: float, x_max: float = 10.0) -> Grid:
     """Build the cell partition with ``m = floor(x_max/epsilon - 1/2)`` cells.
 
     Raises ``ValueError`` if ``epsilon`` is outside ``(0, 1)``, ``x_max`` is not
-    finite or the domain is too short to hold three cells.
+    finite, or ``m`` is below 3 or above ``_MAX_CELLS`` (10**7).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not math.isfinite(x_max):
         raise ValueError(f"x_max must be a finite number, got {x_max!r}")
     # Nudge guards against ratios like 10/0.005 landing just below an integer.
-    m = int(math.floor(x_max / epsilon - 0.5 + 1e-9))
-    if m < 3:
+    # The bounds are checked before the floor, which cannot take an infinite ratio.
+    cells = x_max / epsilon - 0.5 + 1e-9
+    if cells < 3:
         raise ValueError(f"x_max={x_max} holds fewer than 3 cells of width epsilon={epsilon}")
-    return Grid(epsilon=epsilon, x_max=x_max, m=m)
-
+    if cells >= _MAX_CELLS + 1:
+        raise ValueError(f"x_max={x_max} holds more than {_MAX_CELLS} cells of width "
+                         f"epsilon={epsilon}")
+    return Grid(epsilon=epsilon, x_max=x_max, m=int(math.floor(cells)))

@@ -59,12 +59,18 @@ def _assert_matches_oracle(state, case):
         assert getattr(rep, name) == pytest.approx(getattr(ref, name), rel=1e-10, abs=0.0), name
 
 
-@pytest.mark.parametrize("x_max", [10.0, 20.0])
-@pytest.mark.parametrize("epsilon", [0.05, 0.01])
+# at x_max = 10.025 the last cell's right edge is x_max (no tail piece); at
+# 9.975 it lies one ulp beyond x_max, and the last cell ends there
+@pytest.mark.parametrize("epsilon, x_max", [(0.05, 10.0), (0.05, 20.0), (0.01, 10.0),
+                                            (0.01, 20.0), (0.05, 10.025), (0.05, 9.975)])
 @pytest.mark.parametrize("case_id", ["case1", "case3"])
 def test_error_matches_scalar_oracle_on_runs(case_id, epsilon, x_max):
-    run = run_simulation(RunConfig(case=case_id, x_max=x_max), epsilon=epsilon)
-    for st in run.snapshots:
+    # at t = 0 the case-1 breakpoint is 0; at t = 1.0125 it is 2.025, a cell
+    # edge at both epsilons; at t = 2.5 the case-3 jump 10.5 lies beyond x_max
+    # unless x_max = 20
+    run = run_simulation(RunConfig(case=case_id, x_max=x_max,
+                                   snapshot_times=(1.0, 1.0125, 2.5)), epsilon=epsilon)
+    for st in (run.initial, *run.snapshots):
         _assert_matches_oracle(st, ExactCase(case_id))
 
 
@@ -162,10 +168,10 @@ def test_diagnostics_riccati_denominator_mask():
     assert not bool(rep.riccati_checked_mask[1])
 
 
-@pytest.mark.parametrize("growth, breach", [(1.0, False), (2.0, True)])
+@pytest.mark.parametrize("growth, breach", [(1.0, False), (2.0, True), (np.nan, True)])
 def test_diagnostics_flags_second_moment_above_riccati_bound(growth, breach):
     # the bound rises about 10% by t = 1e-3, before the denominator's zero near
-    # t = 0.0115, so an M2 that doubles by then breaches it
+    # t = 0.0115, so an M2 that doubles by then breaches it, and so does a NaN
     g = build_grid(0.1, 5.0)
     c = np.full(g.m, 0.5)
     states = [DiscreteState(g, c, 0.0), DiscreteState(g, growth * c, 1e-3)]
@@ -174,6 +180,32 @@ def test_diagnostics_flags_second_moment_above_riccati_bound(growth, breach):
     rep = moment_diagnostics(_series_from(states, [0.0, 0.0]), spec, g.epsilon)
     assert bool(np.all(rep.riccati_checked_mask))
     assert (("second_moment_bound", 1e-3) in rep.violations) == breach
+
+
+def _nan_at(name, k):
+    g = build_grid(0.1, 5.0)
+    ms = _series_from([DiscreteState(g, np.full(g.m, 1.0), t) for t in (0.0, 1.0, 2.0)],
+                      [0.0, 0.0, 0.0])
+    getattr(ms, name)[k] = np.nan
+    return ms
+
+
+@pytest.mark.parametrize("name, k, kinds", [
+    ("M0", 1, {"M0_increase"}),
+    ("M0", 0, {"M0_increase"}),
+    ("M1", 2, {"mass_defect_mismatch"}),
+    ("M1", 0, {"mass_defect_mismatch"}),
+    ("defect_integral", 1, {"mass_defect_mismatch"}),
+    ("M2", 1, set()),
+])
+def test_diagnostics_nan_moment_is_a_violation(name, k, kinds):
+    # a check that a NaN cannot pass fails at that NaN, and each flag is
+    # False exactly when a violation of its kind is listed
+    rep = moment_diagnostics(_nan_at(name, k), KernelSpec(), 0.1)
+    listed = {kind for kind, _ in rep.violations}
+    assert listed == kinds
+    assert rep.number_nonincreasing == ("M0_increase" not in listed)
+    assert rep.mass_conserved == ("mass_defect_mismatch" not in listed)
 
 
 def test_diagnostics_empty_series_rejected():

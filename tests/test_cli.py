@@ -394,6 +394,8 @@ INVALID_SETTINGS = [
     ("sweep", {"case": "case3", "lam": 0.3}, "case3-lam"),
     ("simulate", {"M": 5.0}, "case1-M"),
     ("simulate", {"x_max": float("inf")}, "x_max=inf"),
+    ("simulate", {"x_max": 5.0, "epsilon": 1e-300}, "too-many-cells"),
+    ("sweep", {"x_max": 5.0, "epsilon_list": [0.2, 1e-300]}, "too-many-cells"),
     ("simulate", {"snapshot_times": [float("inf")]}, "snapshot-inf"),
     ("sweep", {"snapshot_times": []}, "no-snapshot"),
     ("sweep", {"x_max": 3.0, "snapshot_times": [1.0, 2.5]}, "case1-no-reference-mass"),

@@ -34,9 +34,11 @@ def test_build_grid_rejects_short_domain():
         build_grid(0.5, 1.5)
 
 
-@pytest.mark.parametrize("epsilon, x_max", [(0.5, 1.0), (0.1, 0.05), (0.1, -1.0)])
+@pytest.mark.parametrize("epsilon, x_max", [(0.5, 1.0), (0.1, 0.05), (0.1, -1.0),
+                                            (0.5, -1.7e308)])
 def test_short_domain_message_names_x_max(epsilon, x_max):
-    # one rule, m >= 3, whose message names x_max and eps, never a cell count
+    # one rule, m >= 3, whose message names x_max and eps, never a cell count;
+    # at x_max = -1.7e308 the ratio x_max / eps is -inf
     with pytest.raises(ValueError, match="x_max") as info:
         build_grid(epsilon, x_max)
     message = str(info.value)
@@ -50,6 +52,21 @@ def test_non_finite_x_max_message_names_x_max(x_max):
     with pytest.raises(ValueError, match="x_max") as info:
         build_grid(0.1, x_max)
     assert repr(x_max) in str(info.value)
+
+
+@pytest.mark.parametrize("epsilon, x_max", [(0.5, 5000000.75), (0.5, 1.0e9), (1e-300, 5.0),
+                                            (5e-324, 5.0)])
+def test_too_many_cells_message_names_x_max(epsilon, x_max):
+    # m <= 10**7 is checked before the floor, so no grid that large is built
+    # and an infinite ratio x_max / epsilon is rejected like any other
+    with pytest.raises(ValueError, match="more than 10000000 cells") as info:
+        build_grid(epsilon, x_max)
+    assert f"x_max={x_max}" in str(info.value)
+    assert f"epsilon={epsilon}" in str(info.value)
+
+
+def test_largest_grid_is_accepted():
+    assert build_grid(0.5, 5000000.25).m == 10**7
 
 
 def test_edges_and_centers():
