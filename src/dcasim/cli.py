@@ -2,8 +2,11 @@
 
 Configuration comes from a YAML file plus flag overrides; every experiment
 parameter has a documented default (domain [0, 10], epsilon ladder
-0.05/0.01/0.005, snapshots at t = 1 and 2.5, M = 3).  Output is CSV with
-`#`-prefixed metadata headers; plots are left to external tooling.
+0.05/0.01/0.005, snapshots at t = 1 and 2.5, M = 3).  Each subcommand reads
+some of them: simulate all but epsilon_list, sweep all but epsilon, validate
+case, lam and kernel; a setting it does not read, in the YAML or as a flag,
+is a configuration error.  Output is CSV with `#`-prefixed metadata headers;
+plots are left to external tooling.
 
 Exit codes: 0 success, 2 configuration error, 3 integrator failure,
 4 validation failure (a simulated state outside the a-priori bounds).
@@ -46,19 +49,21 @@ _FLAGS = {
 _KERNEL_KEYS = {"K": "family_K", "L": "K_value", "C": "family_C", "C_value": "C_value",
                 "declared_bounds": "declared_bounds"}
 
-# The settings ``validate`` reads; it rejects any other rather than ignore it.
-_VALIDATE_READS = {"case", "lam", "kernel"}
+# The settings each subcommand reads; it rejects any other rather than ignore it.
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_READS = {"simulate": _FIELDS - {"epsilon_list"}, "sweep": _FIELDS - {"epsilon"},
+          "validate": {"case", "lam", "kernel"}}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _load_config(args, reads=None) -> RunConfig:
+def _load_config(args) -> RunConfig:
     """YAML keys are ``RunConfig`` fields, flags override them, ``RunConfig`` validates.
 
-    ``reads``, when given, names the only fields the command reads; any other
-    setting, in the YAML or as a flag, is a configuration error.
+    A setting given in the YAML or by a flag that ``args.command`` does not
+    read (``_READS``) is a configuration error; ``RunConfig`` defaults are not given.
     """
     fields = {}
     if args.config:
@@ -71,17 +76,17 @@ def _load_config(args, reads=None) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(fields, dict):
             raise ConfigError(f"config {args.config}: top level must be a mapping")
-    unknown = set(fields) - {f.name for f in dataclasses.fields(RunConfig)}
+    unknown = set(fields) - _FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(map(str, unknown)))}")
 
     flags = {flag: name for flag, (name, _) in _FLAGS.items() if getattr(args, name) is not None}
-    if reads is not None:
-        ignored = sorted(set(fields) - reads) + [
-            flag for flag, name in flags.items() if name not in reads]
-        if ignored:
-            raise ConfigError(f"{args.command} reads only {', '.join(sorted(reads))}; "
-                              f"it would ignore {', '.join(ignored)}")
+    reads = _READS[args.command]
+    ignored = sorted(set(fields) - reads) + [
+        flag for flag, name in flags.items() if name not in reads]
+    if ignored:
+        raise ConfigError(f"{args.command} reads only {', '.join(sorted(reads))}; "
+                          f"it would ignore {', '.join(ignored)}")
     for name in flags.values():
         fields[name] = getattr(args, name)
     kb = fields.get("kernel")
@@ -150,7 +155,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     """Print the kernel pair's growth conditions CH1 and CH2, and the tag a run would get."""
-    cfg = _load_config(args, reads=_VALIDATE_READS)
+    cfg = _load_config(args)
     probe = probe_hypotheses(cfg.kernel_pair())
     for name, ok in (("sublinear growth of K (CH1)", probe.ch1_pass),
                      ("uniform bound on C (CH2)", probe.ch2_pass)):

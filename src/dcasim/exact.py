@@ -1,5 +1,5 @@
 """The named cases.  ``ExactCase`` owns each one's parameter and default, its
-initial profile, its kernel pair and its closed form.
+kernel pair and its closed form, whose value at t = 0 is its initial profile.
 
 case1: constant kernels K = C = 1 with initial profile x*exp(-x).  The weak
        form with test function x forces the mass integral to stay at its
@@ -55,14 +55,10 @@ class ExactCase:
 
 
 def initial_profile(case: ExactCase):
-    """Initial number-density profile as a vectorized callable."""
-    if case.id != "case3":
-        return lambda x: np.asarray(x, dtype=float) * np.exp(-np.asarray(x, dtype=float))
-    M = case.M
-    def uniform(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= 0.0) & (x <= M), 2.0 / M, 0.0)
-    return uniform
+    """Initial number-density profile as a vectorized callable: the closed form
+    at t = 0, case 1's for case 2 (whose start it is at every lam)."""
+    ref = case if has_closed_form(case) else ExactCase("case1")
+    return lambda x: exact_solution(ref, 0.0, x)
 
 
 def has_closed_form(case: ExactCase) -> bool:

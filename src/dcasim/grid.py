@@ -47,7 +47,7 @@ class Grid:
 _MAX_CELLS = 10**7
 
 
-def build_grid(epsilon: float, x_max: float = 10.0) -> Grid:
+def build_grid(epsilon: float, x_max: float) -> Grid:
     """Build the cell partition with ``m = floor(x_max/epsilon - 1/2)`` cells.
 
     Raises ``ValueError`` if ``epsilon`` is outside ``(0, 1)``, ``x_max`` is not

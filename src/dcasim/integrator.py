@@ -11,8 +11,8 @@ RHS, is the last stage's of the step before (FSAL) unless that step clamped.
 The last row of the tableau is the fifth-order weights (``b7 = 0``), so the
 sixth stage state is the candidate ``y + h * sum_s b_s k_s`` itself: the step
 keeps it instead of forming that sum again.  The loop's rounding is that of
-the form with a separate seven-term weight vector and one ``mass_defect_rate``
-call per stage, kept in ``tests/oracle.py``.
+the form with a separate seven-term weight vector and one defect-rate call per
+stage, kept in ``tests/oracle.py``.
 """
 
 from __future__ import annotations

@@ -40,18 +40,17 @@ last bits: against exact rational arithmetic on ``x e^-x`` their L1 error is
 the cost of a run.  It reads the index vector ``1..m``, the last-row K factors
 and ``Cd[m,m]`` that ``discretize`` caches, scales each fresh sum in place, and
 writes into the integrator's stage buffer when given ``out``.  Given
-``defect``, the same pass also yields the boundary defect rate D of
-``mass_defect_rate``: its ``A_m`` is a sum of K's column totals
-``b_r . (j * c)``, which a ``row`` term takes anyway and a ``prefix`` term takes
-as one more ``sum`` (its last prefix would round differently), so the
-integrator makes no ``mass_defect_rate`` call.  That D is bit for bit the
-function's.  The rounding of every entry is that of the allocating forms kept
+``defect``, the same pass also yields the boundary defect rate D: its ``A_m``
+is a sum of K's column totals ``b_r . (j * c)``, which a ``row`` term takes
+anyway and a ``prefix`` term takes as one more ``sum`` (its last prefix would
+round differently).  This pass is the only place D is computed:
+``mass_defect_rate`` runs it, and the integrator reads D off its stage calls.
+The rounding of every entry, D included, is that of the allocating forms kept
 in ``tests/oracle.py``.  At m = 4999 (eps = 0.002; best of 20 x 300 calls on a
 2-core box) ``rhs_vector`` takes about 25, 30 and 45 us for constant, product
 and sum kernels with K = C, 52 us for case 3's C = 0, 63 us for a constant
 pair with C != K and 100-120 us for mixed families; writing D adds about 1 us
-with K = C and about 3 us per prefix term of K otherwise, against 7-12 us for
-a ``mass_defect_rate`` call.
+with K = C and about 3 us per prefix term of K otherwise.
 """
 
 from __future__ import annotations
@@ -107,7 +106,7 @@ def rhs_vector(c: np.ndarray, dk: DiscreteKernel, out: np.ndarray | None = None,
 
     ``out``, when given, receives the result; it must not share memory with ``c``.
     ``defect``, when given, is a one-entry array that receives the boundary
-    defect rate D of ``mass_defect_rate``, read off the same pass.
+    defect rate D (see ``mass_defect_rate``), read off the same pass.
     """
     Q = np.empty_like(c) if out is None else out
     AG, WZ = dk.sums
@@ -130,19 +129,13 @@ def mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
     Returns ``D = -(m+1) c_m A_m - m (m+1) Cd[m,m] c_m^2``; the telescoping of
     the weighted sums gives ``sum_i i * Q_i = D`` identically for symmetric
     kernels, so interior mass is conserved exactly whenever the boundary cell
-    is empty.
+    is empty.  It is the D that ``rhs_vector(c, dk, defect=...)`` writes.
     """
     if c.size != dk.grid.m:
         raise ValueError("state and discrete kernel live on different grids")
-    # a "1" column precedes an "x" one in every family, so jc is scaled by the
-    # column in place after its plain sum is read
-    jc = dk.index * c
-    totals = []
-    for _, key in dk.K_last:
-        if dk.columns[key] is not None:
-            jc *= dk.columns[key]
-        totals.append(jc.sum())
-    return _defect(c, dk, totals)
+    defect = np.empty(1)
+    rhs_vector(c, dk, defect=defect)
+    return float(defect[0])
 
 
 def _defect(c, dk, totals):

@@ -11,12 +11,12 @@ and defect rate that the package ran before its buffer-reusing ones are kept
 too, and so is the allocating form of the column-total RHS it runs when
 K = C; the package's must equal them bit for bit.  So must its integrator the
 Dormand-Prince loop it ran before the defect rate came out of the RHS pass:
-one ``mass_defect_rate`` call per stage and a seven-term candidate sum.  An exact rational RHS
-measures the rounding of both.  The vectorised weak-form rate over
+one defect-rate call per stage (here the reference one) and a seven-term
+candidate sum.  An exact rational RHS measures the rounding of both.  The vectorised weak-form rate over
 the dense matrices lives here as well; no package code calls it.  The scalar relative-L1 error
-measurement the package used before its vectorised one is kept as well: one
-closed-form call per probe and per Simpson node, and a ``brentq`` solve per
-sign change.  Point evaluation of a state's step function and the CSV body
+measurement the package used before its vectorised one is kept as well: a
+Simpson rule and a row of sign probes per segment, and a scalar ``brentq``
+solve per sign change.  Point evaluation of a state's step function and the CSV body
 reader, which only the tests use, live here too.
 """
 
@@ -36,7 +36,7 @@ from dcasim.kernels import FAMILIES, DiscreteKernel, KernelSpec
 from dcasim.integrator import (_A_ROWS, _E, _FAC_MAX, _FAC_MIN, _MAX_STEPS, _PI_ALPHA,
                                _PI_BETA, _SAFETY, IntegrationError, IntegratorConfig,
                                StepStats, _clamp_negative, _error_norm)
-from dcasim.rhs import mass_defect_rate, rhs_vector
+from dcasim.rhs import rhs_vector
 from dcasim.state import DiscreteState
 
 
@@ -155,7 +155,9 @@ def reference_mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
     jc = np.arange(1, m + 1, dtype=float) * c
     col_jc = {key: float(np.sum(jc if b is None else b * jc)) for key, b in dk.columns.items()}
     col_m = {key: 1.0 if b is None else b[-1] for key, b in dk.columns.items()}
-    A_m = np.atleast_1d(_reference_combine(dk.K_factors, col_jc))[-1]
+    # a sum started at +0.0, as an empty one: K = 0 gives A_m = +0.0 whatever the
+    # columns' signs (only the sign of a zero total depends on the start)
+    A_m = 0.0 + np.atleast_1d(_reference_combine(dk.K_factors, col_jc))[-1]
     C_mm = np.atleast_1d(_reference_combine(dk.C_factors, col_m))[-1]
     cm = float(c[-1])
     return float(-(m + 1) * cm * A_m - m * (m + 1) * C_mm * cm * cm)
@@ -318,7 +320,7 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 def reference_integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
                         snapshot_times) -> tuple[list[DiscreteState], StepStats]:
     """``integrate`` with a separate candidate sum ``y + h * (_B5 @ k)`` and six
-    ``mass_defect_rate`` calls per accepted step (stage states 0..5)."""
+    ``reference_mass_defect_rate`` calls per accepted step (stage states 0..5)."""
     times = [float(t) for t in snapshot_times]
     stats = StepStats()
     snapshots: list[DiscreteState] = []
@@ -368,7 +370,7 @@ def reference_integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: Integrat
 
         if err_norm <= 1.0:
             stats.accepted += 1
-            defect_stages = [mass_defect_rate(ys, dk) for ys in (y, *stages[:5])]
+            defect_stages = [reference_mass_defect_rate(ys, dk) for ys in (y, *stages[:5])]
             defect_int += h * float(_B5[:6] @ np.array(defect_stages))
 
             t = t + h
@@ -411,9 +413,10 @@ def _simpson(f, a: float, b: float, panels: int) -> float:
 
 
 def _split_points(f, a: float, b: float, probes: int = 8) -> list[float]:
-    """Roots of f inside (a, b), located by brentq between sampled nodes."""
+    """Roots of f inside (a, b), located by brentq between sampled nodes; ``f``
+    takes the nodes as one array and brentq's points as scalars."""
     xs = np.linspace(a, b, probes + 1)
-    vals = np.array([f(x) for x in xs])
+    vals = f(xs)
     roots = []
     for lo, hi, vlo, vhi in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
         if vlo == 0.0 or vlo * vhi >= 0.0:
@@ -424,7 +427,8 @@ def _split_points(f, a: float, b: float, probes: int = 8) -> list[float]:
 
 def _abs_integral(f_exact, value: float, a: float, b: float,
                   hard_breaks: tuple[float, ...], panels: int) -> float:
-    """Integral of |f_exact - value| over [a, b], split at breaks and roots."""
+    """Integral of |f_exact - value| over [a, b], split at breaks and roots;
+    ``f_exact`` is vectorised."""
     diff = lambda x: f_exact(x) - value
     cuts = sorted([a, b] + [p for p in hard_breaks if a < p < b])
     total = 0.0
@@ -432,7 +436,7 @@ def _abs_integral(f_exact, value: float, a: float, b: float,
         pieces = [lo] + _split_points(diff, lo, hi) + [hi]
         for p, q in zip(pieces[:-1], pieces[1:]):
             if q > p:
-                total += abs(_simpson(np.vectorize(diff, otypes=[float]), p, q, panels))
+                total += abs(_simpson(diff, p, q, panels))
     return total
 
 
@@ -451,10 +455,10 @@ def step_value(state: DiscreteState, x):
 
 def scalar_rel_l1_error(state: DiscreteState, case: ExactCase,
                         panels: int = 8) -> ErrorReport:
-    """Relative L1 error at ``state.t``, segment by segment with scalar closed-form calls."""
+    """Relative L1 error at ``state.t``, segment by segment, with a scalar
+    ``brentq`` per sign change."""
     grid, t = state.grid, state.t
-    f_ex_vec = lambda xs: exact_solution(case, t, xs)
-    f_ex = lambda x: float(exact_solution(case, t, float(x)))
+    f_ex = lambda xs: exact_solution(case, t, xs)
     hard = breakpoints(case, t)
 
     segments = [(0.0, grid.lower, 0.0)]
@@ -469,7 +473,7 @@ def scalar_rel_l1_error(state: DiscreteState, case: ExactCase,
         numerator += _abs_integral(f_ex, v, a, b, hard, panels)
         cuts = sorted([a, b] + [p for p in hard if a < p < b])
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            denominator += _simpson(f_ex_vec, lo, hi, panels)
+            denominator += _simpson(f_ex, lo, hi, panels)
     return ErrorReport(epsilon=grid.epsilon, t=t, E1=numerator / denominator,
                        numerator=numerator, denominator=denominator)
 

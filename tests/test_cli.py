@@ -24,8 +24,11 @@ FAST_YAML = {
     "epsilon": 0.2,
     "snapshot_times": [0.5, 1.0],
 }
+SWEEP_YAML = {"case": "case1", "epsilon_list": [0.2, 0.1], "snapshot_times": [1.0]}
 # validate reads only case, lam and kernel, and rejects any other setting
 VALIDATE_YAML = {"case": "case1"}
+# what each subcommand runs from; a subcommand rejects a setting it does not read
+BASES = {"simulate": FAST_YAML, "sweep": SWEEP_YAML, "validate": VALIDATE_YAML}
 
 
 def _write_config(tmp_path, mapping, name="config.yaml"):
@@ -136,8 +139,7 @@ def test_cli_import_leaves_yaml_unloaded():
 def test_cli_runs_without_scipy(tmp_path):
     # scipy is a test and benchmark dependency only: no subcommand imports it
     out = tmp_path / "out"
-    sweep = _write_config(tmp_path, {"case": "case1", "epsilon_list": [0.2, 0.1],
-                                     "snapshot_times": [1.0]}, name="sweep.yaml")
+    sweep = _write_config(tmp_path, SWEEP_YAML, name="sweep.yaml")
     runs = [["validate", "--case", "case1"],
             ["simulate", "--config", _write_config(tmp_path, FAST_YAML), "--out", str(out / "sim")],
             ["sweep", "--config", sweep, "--out", str(out / "sweep")]]
@@ -222,8 +224,7 @@ def test_headers_record_case_parameter(tmp_path):
     out = str(tmp_path / "sim")
     assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_OK
     assert _header(os.path.join(out, "moments.csv"))["M"] == "2.5"
-    cfg = _write_config(tmp_path, {"case": "case2", "epsilon_list": [0.2, 0.1],
-                                   "snapshot_times": [1.0]})
+    cfg = _write_config(tmp_path, {**SWEEP_YAML, "case": "case2"})
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
     header = _header(os.path.join(out, "errors_t1.csv"))
@@ -282,9 +283,7 @@ def test_simulate_integrator_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_sweep_all_epsilons_failing_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(dcasim.runs, "run_simulation", _underflow)
-    cfg = _write_config(tmp_path, {
-        "case": "case1", "epsilon_list": [0.2, 0.1],
-        "snapshot_times": [1.0]})
+    cfg = _write_config(tmp_path, SWEEP_YAML)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == EXIT_INTEGRATOR
     err = capsys.readouterr().err
     assert "epsilon=0.1 failed: IntegrationError: step size underflow" in err
@@ -293,9 +292,7 @@ def test_sweep_all_epsilons_failing_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_writes_error_tables(tmp_path):
-    cfg = _write_config(tmp_path, {
-        "case": "case1", "epsilon_list": [0.2, 0.1],
-        "snapshot_times": [1.0]})
+    cfg = _write_config(tmp_path, SWEEP_YAML)
     out = str(tmp_path / "sweep")
     assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
     body = body_of(os.path.join(out, "errors_t1.csv")).splitlines()
@@ -308,8 +305,7 @@ def test_sweep_writes_error_tables(tmp_path):
 
 
 def test_sweep_single_epsilon_is_config_error(tmp_path):
-    cfg = _write_config(tmp_path, {"case": "case1", "epsilon_list": [0.2],
-                                   "snapshot_times": [1.0]})
+    cfg = _write_config(tmp_path, {**SWEEP_YAML, "epsilon_list": [0.2]})
     assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
 
 
@@ -392,6 +388,7 @@ INVALID_SETTINGS = [
     ("sweep", {"epsilon_list": [0.2, 0.2, 0.1]}, "repeated-epsilon"),
     ("simulate", {"lam": 0.3}, "case1-lam"),
     ("sweep", {"case": "case3", "lam": 0.3}, "case3-lam"),
+    ("sweep", {"case": "case2", "lam": 0.5}, "case2-no-closed-form"),
     ("simulate", {"M": 5.0}, "case1-M"),
     ("simulate", {"x_max": float("inf")}, "x_max=inf"),
     ("simulate", {"x_max": 5.0, "epsilon": 1e-300}, "too-many-cells"),
@@ -425,25 +422,41 @@ INVALID_VALIDATE_SETTINGS = [
     ({}, "flag-out", "--out", "--out", "out"),
     ({"x_max": 20}, "x_max", "x_max"),
 ]
+# (command, overrides, id, the setting the message must name, *flags): each
+# subcommand rejects the resolution setting of the other
+UNREAD_SETTINGS = [
+    ("sweep", {}, "flag-epsilon", "--epsilon", "--epsilon", "0.01"),
+    ("sweep", {"epsilon": 0.01}, "epsilon", "epsilon"),
+    ("simulate", {"epsilon_list": [0.2, 0.1]}, "epsilon_list", "epsilon_list"),
+]
+
+
+def _setting_config(tmp_path, command, overrides):
+    """The command's base config with ``overrides``; the output directory is a
+    config key, so a row can override it."""
+    out = {} if command == "validate" else {"output_dir": str(tmp_path / "out")}
+    return _write_config(tmp_path, {**BASES[command], **out, **overrides})
+
+
+@pytest.mark.parametrize("command", sorted(BASES))
+def test_invalid_setting_base_runs(tmp_path, monkeypatch, command):
+    # so each row below fails for its own setting, not for its base
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", _setting_config(tmp_path, command, {})]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command, overrides, named, flags", [
     *(pytest.param(command, overrides, None, flags, id=f"{command}-{name}")
       for command, overrides, name, *flags in INVALID_SETTINGS),
     *(pytest.param("validate", overrides, named, flags, id=f"validate-{name}")
-      for overrides, name, named, *flags in INVALID_VALIDATE_SETTINGS)])
+      for overrides, name, named, *flags in INVALID_VALIDATE_SETTINGS),
+    *(pytest.param(command, overrides, named, flags, id=f"{command}-{name}")
+      for command, overrides, name, named, *flags in UNREAD_SETTINGS)])
 def test_invalid_setting_is_config_error(tmp_path, capsys, monkeypatch, command, overrides,
                                          named, flags):
     # every setting is checked when the config loads, before any run starts
     monkeypatch.chdir(tmp_path)     # the validate "--out out" row names a relative path
-    if command == "validate":
-        cfg = _write_config(tmp_path, {**VALIDATE_YAML, **overrides})
-        argv = [command, "--config", cfg, *flags]
-    else:
-        # the output directory is a config key, so a row can override it
-        cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon_list": [0.2, 0.1],
-                                       "output_dir": str(tmp_path / "out"), **overrides})
-        argv = [command, "--config", cfg, *flags]
+    argv = [command, "--config", _setting_config(tmp_path, command, overrides), *flags]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
@@ -463,7 +476,7 @@ def test_uncreatable_output_dir_is_config_error(tmp_path, monkeypatch, capsys, c
     monkeypatch.setattr(dcasim.runs, "run_simulation", _no_run)
     blocker = tmp_path / "file"
     blocker.write_text("")
-    cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon_list": [0.2, 0.1]})
+    cfg = _write_config(tmp_path, BASES[command])
     assert main([command, "--config", cfg, "--out", str(blocker / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
@@ -475,7 +488,7 @@ def test_sweep_value_error_while_running_is_not_config_error(tmp_path, monkeypat
         raise ValueError("raised while integrating")
 
     monkeypatch.setattr(dcasim.cli, "run_sweep", broken)
-    cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon_list": [0.2, 0.1]})
+    cfg = _write_config(tmp_path, SWEEP_YAML)
     with pytest.raises(ValueError, match="raised while integrating"):
         main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
 

@@ -95,10 +95,15 @@ def test_sweep_needs_two_epsilons():
         run_sweep(RunConfig(case="case1", epsilon_list=(0.05,)))
 
 
-def test_sweep_needs_closed_form():
+def test_sweep_needs_closed_form(monkeypatch):
+    # rel_l1_error's probe of a zero state rejects the case before any run
+    def no_run(cfg, epsilon=None):
+        raise AssertionError("integration started before the check")
+
+    monkeypatch.setattr(dcasim.runs, "run_simulation", no_run)
     cfg = RunConfig(case="case2", lam=0.5, epsilon_list=(0.2, 0.1), **{
         k: v for k, v in FAST.items() if k != "epsilon"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="case2 with lambda=0.5 has no closed form"):
         run_sweep(cfg)
 
 

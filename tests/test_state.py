@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dcasim.exact import ExactCase, initial_profile
 from dcasim.grid import build_grid
 from dcasim.state import (DiscreteState, check_apriori_bounds, moment,
                           project_initial, weighted_initial_norm)
@@ -40,12 +41,33 @@ def test_project_rejects_non_finite_profile():
         project_initial(lambda x: np.full(np.shape(x), np.nan), g)
 
 
+def _uniform_profile(M):
+    return lambda x: np.where((np.asarray(x, float) >= 0.0) & (np.asarray(x, float) <= M),
+                              2.0 / M, 0.0)
+
+
+@pytest.mark.parametrize("case, literal", [
+    (ExactCase("case1"), _exp_profile), (ExactCase("case2", lam=0.5), _exp_profile),
+    (ExactCase("case3"), _uniform_profile(3.0)), (ExactCase("case3", M=5.0), _uniform_profile(5.0))],
+    ids=["case1", "case2-lam0.5", "case3-M3", "case3-M5"])
+def test_initial_profile_projects_as_literal_formula(case, literal):
+    # a case's start is its closed form at t = 0 (case 1's for case 2): the same
+    # bits as x e^-x and (2/M) 1[0, M], at the support's end and on every grid
+    f_in = initial_profile(case)
+    xs = np.array([0.0, 0.025, 1.0, 3.0, 5.0, np.nextafter(5.0, 6.0), 9.975, 20.0])
+    np.testing.assert_array_equal(f_in(xs), literal(xs))
+    for eps, x_max in ((0.05, 10.0), (0.01, 20.0), (0.002, 10.0)):
+        g = build_grid(eps, x_max)
+        (st, loss), (ref, ref_loss) = project_initial(f_in, g), project_initial(literal, g)
+        np.testing.assert_array_equal(st.c, ref.c)
+        assert loss == ref_loss, (eps, x_max)
+        assert weighted_initial_norm(f_in, x_max) == weighted_initial_norm(literal, x_max)
+
+
 def test_project_uniform_interior_cell():
     # cell 5 of the eps=0.1 grid sits fully inside [0, 3]
     g = build_grid(0.1, 10.0)
-    uniform = lambda x: np.where((np.asarray(x, float) >= 0) & (np.asarray(x, float) <= 3.0),
-                                 2.0 / 3.0, 0.0)
-    st, _ = project_initial(uniform, g)
+    st, _ = project_initial(_uniform_profile(3.0), g)
     assert st.c[4] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
