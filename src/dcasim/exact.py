@@ -86,7 +86,11 @@ def exact_solution(case: ExactCase, t: float, x):
         out = np.where(x / (1.0 + t) <= case.M, scale, 0.0)
     else:
         u = x - 2.0 * t
-        out = np.where(u > 0.0, u * np.exp(-np.clip(u, 0.0, None)) / (1.0 + t), 0.0)
+        v = np.empty_like(u)        # a fresh buffer (u may be a scalar); the rest runs in place
+        np.clip(u, 0.0, None, out=v)
+        np.exp(np.negative(v, out=v), out=v)
+        np.divide(np.multiply(v, u, out=v), 1.0 + t, out=v)
+        out = np.where(u > 0.0, v, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,8 +30,8 @@ class RunConfig:
     M: float | None = None
     lam: float | None = None
     kernel: KernelSpec | None = None
-    rtol: float = 1e-6
-    atol: float = 1e-10
+    rtol: float = IntegratorConfig.rtol
+    atol: float = IntegratorConfig.atol
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -94,9 +94,7 @@ class SimulationRun:
     """Everything produced by one single-epsilon integration."""
 
     config: RunConfig
-    epsilon: float
-    spec: KernelSpec
-    dk: DiscreteKernel
+    dk: DiscreteKernel      # its grid's epsilon and its spec are the run's
     initial: DiscreteState
     snapshots: list
     moments: MomentSeries
@@ -106,9 +104,10 @@ class SimulationRun:
 
     def metadata(self) -> dict:
         # kernel_K, kernel_K_value, kernel_C, kernel_C_value, kernel_declared_bounds
-        kernel = {"kernel_" + f.name.removeprefix("family_"): getattr(self.spec, f.name)
-                  for f in fields(self.spec)}
-        md = config_metadata(self.config, {"epsilon": self.epsilon, "m": self.dk.grid.m}, kernel)
+        spec, grid = self.dk.spec, self.dk.grid
+        kernel = {"kernel_" + f.name.removeprefix("family_"): getattr(spec, f.name)
+                  for f in fields(spec)}
+        md = config_metadata(self.config, {"epsilon": grid.epsilon, "m": grid.m}, kernel)
         md.update({
             "projection_dust": self.projection_loss.dust,
             "projection_tail": self.projection_loss.tail,
@@ -118,13 +117,13 @@ class SimulationRun:
         return md
 
 
-def run_simulation(cfg: RunConfig, epsilon: float | None = None) -> SimulationRun:
-    """Project the initial data, integrate, and collect snapshots and moments."""
-    eps = epsilon if epsilon is not None else cfg.epsilon
-    if eps is None:
+def run_simulation(cfg: RunConfig) -> SimulationRun:
+    """Project the initial data, integrate at ``cfg.epsilon``, and collect snapshots
+    and moments."""
+    if cfg.epsilon is None:
         raise ValueError("no epsilon given")
     spec = cfg.kernel_pair()
-    grid = build_grid(eps, cfg.x_max)
+    grid = build_grid(cfg.epsilon, cfg.x_max)
     dk = discretize(spec, grid)
 
     f_in = initial_profile(cfg.exact_case())
@@ -137,13 +136,11 @@ def run_simulation(cfg: RunConfig, epsilon: float | None = None) -> SimulationRu
     snapshots, stats = integrate(state0, dk, cfg.integrator_config(), cfg.snapshot_times)
 
     moments = MomentSeries()
-    moments.append(state0, 0.0)
-    for st, dint in zip(snapshots, stats.defect_integrals):
-        check_apriori_bounds(st, norm, slack=100.0 * cfg.rtol)
+    for st, dint in zip((state0, *snapshots), (0.0, *stats.defect_integrals)):
         moments.append(st, dint)
+        check_apriori_bounds(moments, norm, slack=100.0 * cfg.rtol)
 
-    return SimulationRun(config=cfg, epsilon=eps, spec=spec, dk=dk,
-                         initial=state0, snapshots=snapshots, moments=moments,
+    return SimulationRun(config=cfg, dk=dk, initial=state0, snapshots=snapshots, moments=moments,
                          stats=stats, projection_loss=loss, hypotheses_verified=verified)
 
 
@@ -178,7 +175,7 @@ def run_sweep(cfg: RunConfig, *, case: ExactCase | None = None) -> SweepResult:
     runs, failures = {}, {}
     for eps in cfg.epsilon_list:
         try:
-            run = runs[eps] = run_simulation(cfg, epsilon=eps)
+            run = runs[eps] = run_simulation(replace(cfg, epsilon=eps))
         except (IntegrationError, AprioriBoundError) as exc:  # keep remaining epsilons alive
             failures[eps] = f"{type(exc).__name__}: {exc}"
             continue

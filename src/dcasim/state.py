@@ -49,12 +49,14 @@ class MomentSeries:
     defect_integral: list = field(default_factory=list)
 
     def append(self, state: DiscreteState, defect_integral: float = 0.0):
+        """Add a row; one index sum ``s_r`` per order gives ``M_r = eps^(r+1) * s_r``,
+        ``Y1 = s_1`` and ``N_count = s_0``."""
+        s = [_index_sum(state, r) for r in range(3)]
         self.times.append(state.t)
-        self.M0.append(moment(state, 0))
-        self.M1.append(moment(state, 1))
-        self.M2.append(moment(state, 2))
-        self.Y1.append(moment(state, 1, scaled=False))
-        self.N_count.append(float(np.sum(state.c)))
+        for r, column in enumerate((self.M0, self.M1, self.M2)):
+            column.append(state.grid.epsilon ** (r + 1) * s[r])
+        self.Y1.append(s[1])
+        self.N_count.append(s[0])
         self.defect_integral.append(defect_integral)
 
 
@@ -106,18 +108,18 @@ def project_initial(f_in, grid: Grid):
     return DiscreteState(grid, c, t=0.0), ProjectionLoss(dust=dust, tail=tail)
 
 
-def moment(state: DiscreteState, r: float, scaled: bool = True) -> float:
-    """Moment of order ``r``.
+def _index_sum(state: DiscreteState, r: float) -> float:
+    """The sequence-space norm ``sum i^r c_i``."""
+    i = np.arange(1, state.grid.m + 1, dtype=float)
+    return float(np.sum(i**r * state.c))
 
-    Scaled (default): ``eps^(r+1) * sum i^r c_i``, the continuous moment of the
-    state's step function at cell centers.  Unscaled: the sequence-space
-    norm ``sum i^r c_i``.
-    """
+
+def moment(state: DiscreteState, r: float) -> float:
+    """``eps^(r+1) * sum i^r c_i``, the moment of order ``r`` of the state's step
+    function at cell centers."""
     if r < 0:
         raise ValueError("moment order must be nonnegative")
-    i = np.arange(1, state.grid.m + 1, dtype=float)
-    s = float(np.sum(i**r * state.c))
-    return state.grid.epsilon ** (r + 1) * s if scaled else s
+    return state.grid.epsilon ** (r + 1) * _index_sum(state, r)
 
 
 def weighted_initial_norm(f_in, x_max: float) -> float:
@@ -126,17 +128,16 @@ def weighted_initial_norm(f_in, x_max: float) -> float:
     return float(_integrate_cells(g, np.array([0.0]), np.array([x_max]), _NORM_PANELS)[0])
 
 
-def check_apriori_bounds(state: DiscreteState, initial_norm: float, slack: float = 1e-9):
-    """Assert the trajectory bounds: M1 <= 2*norm and M0 <= norm.
+def check_apriori_bounds(series: MomentSeries, initial_norm: float, slack: float = 1e-9):
+    """Assert the trajectory bounds M1 <= 2*norm and M0 <= norm at the series' latest row.
 
     ``initial_norm`` is the weighted integral of the initial profile; raises
     ``AprioriBoundError`` on violation.
     """
-    m0 = moment(state, 0)
-    m1 = moment(state, 1)
+    m0, m1 = series.M0[-1], series.M1[-1]
     tol = slack * max(1.0, initial_norm)
     if m1 > 2.0 * initial_norm + tol or m0 > initial_norm + tol:
         raise AprioriBoundError(
-            f"a-priori density bounds violated at t={state.t}: "
+            f"a-priori density bounds violated at t={series.times[-1]}: "
             f"M0={m0}, M1={m1}, weighted initial norm={initial_norm}"
         )

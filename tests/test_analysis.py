@@ -25,6 +25,14 @@ def test_zero_step_function_error_is_one():
     assert rep.numerator == pytest.approx(rep.denominator, rel=1e-9)
 
 
+def test_error_on_a_tall_reference_raises_no_warning():
+    # case 3 at M = 1e-300 is 2e300 high on [0, 1e-300]: all of it in the dust
+    # cell, and the product of two probe differences would overflow
+    g = build_grid(0.05, 5.0)
+    rep = rel_l1_error(DiscreteState(g, np.zeros(g.m), 0.01), ExactCase("case3", M=1e-300))
+    assert rep.E1 == 1.0
+
+
 def test_projection_error_small_at_time_zero():
     case = ExactCase("case1")
     g = build_grid(0.05, 10.0)
@@ -68,8 +76,8 @@ def test_error_matches_scalar_oracle_on_runs(case_id, epsilon, x_max):
     # at t = 0 the case-1 breakpoint is 0; at t = 1.0125 it is 2.025, a cell
     # edge at both epsilons; at t = 2.5 the case-3 jump 10.5 lies beyond x_max
     # unless x_max = 20
-    run = run_simulation(RunConfig(case=case_id, x_max=x_max,
-                                   snapshot_times=(1.0, 1.0125, 2.5)), epsilon=epsilon)
+    run = run_simulation(RunConfig(case=case_id, epsilon=epsilon, x_max=x_max,
+                                   snapshot_times=(1.0, 1.0125, 2.5)))
     for st in (run.initial, *run.snapshots):
         _assert_matches_oracle(st, ExactCase(case_id))
 
@@ -132,7 +140,6 @@ def test_diagnostics_zero_state_trivial():
     states = [DiscreteState(g, np.zeros(g.m), t) for t in (0.0, 1.0)]
     rep = moment_diagnostics(_series_from(states, [0.0, 0.0]),
                              KernelSpec(), g.epsilon)
-    assert rep.number_nonincreasing and rep.mass_conserved
     assert rep.violations == []
 
 
@@ -142,7 +149,6 @@ def test_diagnostics_flags_number_increase():
               for v, t in ((1.0, 0.0), (2.0, 1.0))]
     rep = moment_diagnostics(_series_from(states, [0.0, 0.0]),
                              KernelSpec(), g.epsilon)
-    assert not rep.number_nonincreasing
     assert ("M0_increase", 1.0) in rep.violations
 
 
@@ -152,7 +158,7 @@ def test_diagnostics_flags_unexplained_mass_drift():
               for v, t in ((1.0, 0.0), (0.5, 1.0))]
     rep = moment_diagnostics(_series_from(states, [0.0, 0.0]),
                              KernelSpec(), g.epsilon)
-    assert not rep.mass_conserved
+    assert any(kind == "mass_defect_mismatch" for kind, _ in rep.violations)
 
 
 def test_diagnostics_riccati_denominator_mask():
@@ -199,13 +205,10 @@ def _nan_at(name, k):
     ("M2", 1, set()),
 ])
 def test_diagnostics_nan_moment_is_a_violation(name, k, kinds):
-    # a check that a NaN cannot pass fails at that NaN, and each flag is
-    # False exactly when a violation of its kind is listed
+    # a check that a NaN cannot pass fails at that NaN
     rep = moment_diagnostics(_nan_at(name, k), KernelSpec(), 0.1)
     listed = {kind for kind, _ in rep.violations}
     assert listed == kinds
-    assert rep.number_nonincreasing == ("M0_increase" not in listed)
-    assert rep.mass_conserved == ("mass_defect_mismatch" not in listed)
 
 
 def test_diagnostics_empty_series_rejected():

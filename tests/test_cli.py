@@ -51,7 +51,8 @@ def test_snapshot_csv_schema(tmp_path):
     out = str(tmp_path / "out")
     main(["simulate", "--config", cfg, "--out", out])
     path = os.path.join(out, snapshot_filename(1.0))
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     meta = [l for l in lines if l.startswith("#")]
     body = [l for l in lines if not l.startswith("#")]
     assert any(l.startswith("# epsilon = ") for l in meta)
@@ -76,8 +77,8 @@ def test_flag_overrides_config(tmp_path):
     cfg = _write_config(tmp_path, {**FAST_YAML, "epsilon": 0.3})
     out = str(tmp_path / "out")
     main(["simulate", "--config", cfg, "--epsilon", "0.2", "--out", out])
-    meta = [l for l in open(os.path.join(out, "moments.csv"))
-            if l.startswith("# epsilon")]
+    with open(os.path.join(out, "moments.csv")) as fh:
+        meta = [l for l in fh if l.startswith("# epsilon")]
     assert meta == ["# epsilon = 0.2\n"]
 
 
@@ -193,9 +194,10 @@ def test_simulate_custom_case_is_config_error(tmp_path, capsys):
 
 
 def _header(path):
-    return {key: value for key, _, value in
-            (line[2:].rstrip("\n").partition(" = ") for line in open(path)
-             if line.startswith("# "))}
+    with open(path) as fh:
+        return {key: value for key, _, value in
+                (line[2:].rstrip("\n").partition(" = ") for line in fh
+                 if line.startswith("# "))}
 
 
 @pytest.mark.parametrize("case", ["case1", "case2", "case3"])
@@ -268,7 +270,7 @@ def test_apriori_bound_violation_is_validation_failure(tmp_path, monkeypatch, ca
     assert "a-priori density bounds violated" in capsys.readouterr().err
 
 
-def _underflow(cfg, epsilon=None):
+def _underflow(cfg):
     raise IntegrationError("step size underflow at t=0.5")
 
 
@@ -466,7 +468,7 @@ def test_invalid_setting_is_config_error(tmp_path, capsys, monkeypatch, command,
     assert not os.path.exists(tmp_path / "out")
 
 
-def _no_run(cfg, epsilon=None):
+def _no_run(cfg):
     raise AssertionError("integration started before the output directory was created")
 
 

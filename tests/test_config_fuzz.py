@@ -1,10 +1,10 @@
-"""Seeded fuzz of the CLI's config handling: every config ends in a documented
-exit code, and no Python traceback escapes.
+"""Seeded fuzz of the CLI's config handling: every config file, with up to
+two flags, ends in a documented exit code, and no Python traceback escapes.
 
 The value pools are bounded so that a run is cheap: every finite ``x_max``
 with at least three cells is at most 20, every ``epsilon`` that passes with
-it is at least 0.002 (so an accepted grid has m <= 10**4), and every
-accepted snapshot time is at most 0.05.
+it, from the config or ``--epsilon``, is at least 0.002 (so an accepted grid
+has m <= 10**4), and every accepted snapshot time is at most 0.05.
 """
 
 import math
@@ -13,7 +13,8 @@ import random
 import pytest
 import yaml
 
-from dcasim.cli import EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK, EXIT_VALIDATION, main
+from dcasim.cli import (_FLAGS, _READS, EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK,
+                        EXIT_VALIDATION, main)
 
 NAN, INF = math.nan, math.inf
 # values that are wrong for every numeric key
@@ -48,28 +49,48 @@ POOLS = {
     "output_dir": (["{tmp}/other"], [None, 5, True, ["out"], "", "{blocker}/out"]),
     "unknown_key": ([], [1]),
 }
-# the keys each subcommand draws from; validate reads only case, lam and kernel
-KEYS = {"simulate": sorted(POOLS), "sweep": sorted(POOLS),
-        "validate": ["case", "lam", "kernel", "x_max"]}
+# the keys each subcommand draws from: the settings it reads, and one no command knows
+KEYS = {command: sorted(reads) + ["unknown_key"] for command, reads in _READS.items()}
+# flag -> (values a run accepts, values it rejects), as typed; the tolerances
+# and lambda accept 1e-300 and 5e-324, and lambda is case 2's only
+NOT_NUMBERS = ["nan", "inf", "-1", "abc"]
+FLAG_POOLS = {
+    "--epsilon": (["0.1", "0.05", "0.002"], ["0", "1", "1e-300", "5e-324", *NOT_NUMBERS]),
+    "--lambda": (["0", "0.5", "1", "1e-300", "5e-324"], ["1.5", *NOT_NUMBERS]),
+    "--rtol": (["1e-6", "1e-3", "1e-300", "5e-324"], ["0", *NOT_NUMBERS]),
+    "--atol": (["1e-10", "1e-6", "1e-300", "5e-324"], ["0", *NOT_NUMBERS]),
+    "--case": (["case1", "case2", "case3"], ["custom", "CASE1"]),
+}
+# the flags each subcommand draws from: those that set a setting it reads
+FLAGS = {command: [flag for flag in sorted(FLAG_POOLS) if _FLAGS[flag][0] in reads]
+         for command, reads in _READS.items()}
 # what a subcommand that integrates starts from, unless the draw replaces it
 BASE = {"simulate": {"epsilon": 0.1, "x_max": 5.0, "snapshot_times": [0.01]},
         "sweep": {"x_max": 5.0, "snapshot_times": [0.01]}, "validate": {}}
 DOCUMENTED = {EXIT_OK, EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_VALIDATION}
 
 
+def _pick(rng, pool):
+    """A value from an (accepted, rejected) pool, a rejected one one time in four."""
+    accepted, rejected = pool
+    return rng.choice(rejected if not accepted or rng.random() < 0.25 else accepted)
+
+
 def _draw(rng, tmp_path):
-    """A subcommand and a config that sets one to three keys, each wrong one time in four."""
+    """A subcommand, a config that sets one to three keys, each wrong one time in
+    four, and zero to two flags."""
     command = rng.choice(sorted(KEYS))
     config = dict(BASE[command])
     if command != "validate":
         config["output_dir"] = str(tmp_path / "out")
     for key in rng.sample(KEYS[command], rng.randint(1, 3)):
-        accepted, rejected = POOLS[key]
-        value = rng.choice(rejected if not accepted or rng.random() < 0.25 else accepted)
+        value = _pick(rng, POOLS[key])
         if isinstance(value, str) and "{" in value:
             value = value.format(blocker=tmp_path / "file", tmp=tmp_path)
         config[key] = value
-    return command, config
+    flags = [arg for flag in rng.sample(FLAGS[command], rng.randint(0, 2))
+             for arg in (flag, _pick(rng, FLAG_POOLS[flag]))]
+    return command, config, flags
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -78,14 +99,14 @@ def test_config_fuzz_exits_with_documented_code(tmp_path, capsys, seed):
     rng = random.Random(seed)
     path = tmp_path / "config.yaml"
     for _ in range(100):
-        command, config = _draw(rng, tmp_path)
+        command, config, flags = _draw(rng, tmp_path)
         path.write_text(yaml.safe_dump(config))
         try:
-            code = main([command, "--config", str(path)])
+            code = main([command, "--config", str(path), *flags])
         except SystemExit as exc:            # argparse
             code = exc.code
         except Exception as exc:            # noqa: BLE001 -- report the config that raised
-            pytest.fail(f"{command} {config!r} raised {exc!r}")
+            pytest.fail(f"{command} {config!r} {flags} raised {exc!r}")
         captured = capsys.readouterr()
-        assert code in DOCUMENTED, (command, config, captured.err)
-        assert "Traceback" not in captured.out + captured.err, (command, config)
+        assert code in DOCUMENTED, (command, config, flags, captured.err)
+        assert "Traceback" not in captured.out + captured.err, (command, config, flags)

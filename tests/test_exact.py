@@ -80,6 +80,18 @@ def test_case1_wave_values():
     assert exact_solution(case, 0.0, 1.0) == pytest.approx(np.exp(-1.0))
 
 
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 2.5])
+def test_case1_value_has_the_bits_of_the_formula(t):
+    # the package builds the value in place; a scalar size still gives a float
+    case = ExactCase("case1")
+    x = np.concatenate((np.linspace(0.0, 20.0, 1001), [5e-324, 2.0 * t, 3.7]))
+    u = x - 2.0 * t
+    formula = np.where(u > 0.0, u * np.exp(-np.clip(u, 0.0, None)) / (1.0 + t), 0.0)
+    assert exact_solution(case, t, x).tobytes() == formula.tobytes()
+    value = exact_solution(case, t, 3.7)
+    assert type(value) is float and value.hex() == float(formula[-1]).hex()
+
+
 def test_case1_profile_is_translated_and_damped():
     # f(t, x) = f_in(x - vt) / (1 + t) with front speed v = 2
     case = ExactCase("case1")

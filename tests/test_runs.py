@@ -97,7 +97,7 @@ def test_sweep_needs_two_epsilons():
 
 def test_sweep_needs_closed_form(monkeypatch):
     # rel_l1_error's probe of a zero state rejects the case before any run
-    def no_run(cfg, epsilon=None):
+    def no_run(cfg):
         raise AssertionError("integration started before the check")
 
     monkeypatch.setattr(dcasim.runs, "run_simulation", no_run)
@@ -109,7 +109,7 @@ def test_sweep_needs_closed_form(monkeypatch):
 
 def test_sweep_needs_reference_mass_at_each_time(monkeypatch):
     # the case-1 wave front is at 2t, so on [0, 3] the closed form is empty by t = 2.5
-    def no_run(cfg, epsilon=None):
+    def no_run(cfg):
         raise AssertionError("integration started before the check")
 
     monkeypatch.setattr(dcasim.runs, "run_simulation", no_run)
@@ -130,6 +130,15 @@ def test_sweep_tabulates_errors_per_time():
         assert errs[1] < errs[0]        # refinement reduces the error
 
 
+def test_sweep_run_config_holds_its_epsilon():
+    res = run_sweep(RunConfig(case="case1", epsilon_list=(0.2, 0.1), snapshot_times=(1.0,)))
+    assert list(res.runs) == [0.2, 0.1]
+    for eps, run in res.runs.items():
+        assert run.config.epsilon == eps
+        assert run.dk.grid.epsilon == eps
+        assert run.metadata()["epsilon"] == eps
+
+
 def test_sweep_case2_default_lambda_is_case1():
     # case 2 with lam unset runs C = K, the case-1 problem, which has a closed form
     case1, case2 = (run_sweep(RunConfig(case=case, epsilon_list=(0.2, 0.1),
@@ -139,7 +148,7 @@ def test_sweep_case2_default_lambda_is_case1():
 
 
 def test_sweep_records_integrator_failures(monkeypatch):
-    def fail(cfg, epsilon=None):
+    def fail(cfg):
         raise IntegrationError("step size underflow at t=0.5")
 
     monkeypatch.setattr(dcasim.runs, "run_simulation", fail)
@@ -150,7 +159,7 @@ def test_sweep_records_integrator_failures(monkeypatch):
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):
-    def broken(cfg, epsilon=None):
+    def broken(cfg):
         raise TypeError("unsupported operand")
 
     monkeypatch.setattr(dcasim.runs, "run_simulation", broken)
@@ -161,6 +170,6 @@ def test_sweep_propagates_programming_errors(monkeypatch):
 
 def test_run_pickles_without_dense_matrices():
     # a run holds O(m) data, not the 64 MB of two m = 1999 kernel matrices
-    run = run_simulation(RunConfig(case="case1"), epsilon=0.005)
+    run = run_simulation(RunConfig(case="case1", epsilon=0.005))
     assert len(pickle.dumps(run)) < 1_000_000
 

@@ -3,8 +3,9 @@ import pytest
 
 from dcasim.exact import ExactCase, initial_profile
 from dcasim.grid import build_grid
-from dcasim.state import (DiscreteState, check_apriori_bounds, moment,
-                          project_initial, weighted_initial_norm)
+from dcasim.state import (AprioriBoundError, DiscreteState, MomentSeries,
+                          check_apriori_bounds, moment, project_initial,
+                          weighted_initial_norm)
 
 from oracle import small_grid, step_value
 
@@ -106,7 +107,34 @@ def test_moment_direct_sum():
     st = DiscreteState(g, np.array([1.0, 1.0, 1.0]))
     assert moment(st, 1) == pytest.approx(0.01 * (1 + 2 + 3))
     assert moment(st, 0) == pytest.approx(0.1 * 3)
-    assert moment(st, 1, scaled=False) == pytest.approx(6.0)
+    assert _series(st).Y1 == [pytest.approx(6.0)]
+
+
+def _series(*states):
+    ms = MomentSeries()
+    for st in states:
+        ms.append(st)
+    return ms
+
+
+# small grids sum in one pass, m = 1000 in numpy's pairwise blocks
+_SIGNED = np.random.default_rng(7).normal(size=1000)
+_SIGNED[::7], _SIGNED[3::11] = 0.0, -0.0
+
+
+@pytest.mark.parametrize("c", [[1.0, -2.5, 0.0, -0.0, 3.25e-7], [-0.0, -0.0, -0.0],
+                               [-1e-300, 0.0, 7.0, -3.0], _SIGNED])
+def test_moment_series_row_is_the_state_moments(c):
+    # compared by repr, which the moments CSV writes, so a -0.0 must stay -0.0
+    g = small_grid(0.1, len(c))
+    st = DiscreteState(g, np.array(c), 0.5)
+    ms = _series(st)
+    i = np.arange(1, g.m + 1, dtype=float)
+    row = [ms.M0[0], ms.M1[0], ms.M2[0], ms.Y1[0], ms.N_count[0]]
+    expected = [*(moment(st, r) for r in range(3)), float(np.sum(i * st.c)),
+                float(np.sum(st.c))]
+    assert row == expected
+    assert list(map(repr, row)) == list(map(repr, expected))
 
 
 def test_moment_zero_order_matches_step_integral():
@@ -142,12 +170,23 @@ def test_apriori_bounds_pass_and_fail():
     g = build_grid(0.1, 10.0)
     st, _ = project_initial(_exp_profile, g)
     norm = weighted_initial_norm(_exp_profile, 10.0)
-    check_apriori_bounds(st, norm)  # projection respects both bounds
+    check_apriori_bounds(_series(st), norm)  # projection respects both bounds
     bad = DiscreteState(g, st.c * 100.0)
     with pytest.raises(RuntimeError):
-        check_apriori_bounds(bad, norm)
+        check_apriori_bounds(_series(bad), norm)
+
+
+def test_apriori_bounds_read_the_latest_row():
+    g = build_grid(0.1, 10.0)
+    st, _ = project_initial(_exp_profile, g)
+    norm = weighted_initial_norm(_exp_profile, 10.0)
+    bad = DiscreteState(g, st.c * 100.0, t=1.0)
+    with pytest.raises(AprioriBoundError, match="at t=1.0: M0="):
+        check_apriori_bounds(_series(st, bad), norm)
+    # a bound broken only at an earlier row is that row's check
+    check_apriori_bounds(_series(bad, DiscreteState(g, st.c, t=2.0)), norm)
 
 
 def test_zero_state_bounds_trivial():
     g = build_grid(0.1, 10.0)
-    check_apriori_bounds(DiscreteState(g, np.zeros(g.m)), 0.0)
+    check_apriori_bounds(_series(DiscreteState(g, np.zeros(g.m))), 0.0)
