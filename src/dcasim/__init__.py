@@ -1,7 +1,7 @@
 """Condensing-aggregation solver on an epsilon-cell grid."""
 
-from .analysis import (ConvergenceTable, ErrorReport, MomentBoundReport,
-                       estimate_order, moment_diagnostics, rel_l1_error)
+from .analysis import (ErrorReport, MomentBoundReport, estimate_order, moment_diagnostics,
+                       rel_l1_error)
 from .exact import ExactCase, exact_solution, has_closed_form, initial_profile
 from .grid import Grid, build_grid
 from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate

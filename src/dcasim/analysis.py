@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,17 +33,6 @@ class ErrorReport:
     E1: float
     numerator: float
     denominator: float
-
-
-@dataclass
-class ConvergenceTable:
-    """(epsilon, relative L1 error) rows at a fixed comparison time."""
-
-    t: float
-    rows: list = field(default_factory=list)  # (epsilon, E1) pairs
-
-    def add(self, report: ErrorReport):
-        self.rows.append((report.epsilon, report.E1))
 
 
 @dataclass
@@ -123,9 +112,9 @@ def rel_l1_error(state: DiscreteState, case: ExactCase) -> ErrorReport:
                        numerator=numerator, denominator=denominator)
 
 
-def estimate_order(table: ConvergenceTable) -> float:
-    """Least-squares slope of log(error) against log(epsilon)."""
-    rows = [(e, err) for e, err in table.rows if err > 0.0]
+def estimate_order(rows) -> float:
+    """Least-squares slope of log(error) against log(epsilon) over ``(epsilon, E1)`` rows."""
+    rows = [(e, err) for e, err in rows if err > 0.0]
     if len(rows) < 2:
         raise ValueError("need at least 2 rows with positive error")
     eps = np.log([r[0] for r in rows])

@@ -136,15 +136,15 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     try:
-        case = sweep_case(cfg)
+        sweep_case(cfg)     # run_sweep checks it too; here a bad config exits before --out exists
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _output_dir(cfg.output_dir)
-    result = run_sweep(cfg, case=case)
+    result = run_sweep(cfg)
     md = config_metadata(cfg, {"epsilon_list": list(cfg.epsilon_list)})
-    for t, table in result.tables.items():
+    for t, rows in result.tables.items():
         path = os.path.join(out, snapshot_filename(t, kind="errors"))
-        write_error_table_csv(path, table, md, result.failures)
+        write_error_table_csv(path, t, rows, md, result.failures)
         print(f"wrote {path}")
     for eps, msg in result.failures.items():
         print(f"epsilon={eps} failed: {msg}", file=sys.stderr)

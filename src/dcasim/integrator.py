@@ -17,6 +17,7 @@ stage, kept in ``tests/oracle.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,14 +92,16 @@ def _error_norm(err, y_old, y_new, rtol, atol, scale, work):
     return float(err.max())
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a blown-up state fails on its error estimate
 def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
               snapshot_times) -> tuple[list[DiscreteState], StepStats]:
     """Advance ``state0`` and return states at each snapshot time.
 
     ``snapshot_times`` must be strictly increasing with the first entry at or
-    after ``state0.t``.  Raises ``IntegrationError`` on step-size underflow or
-    step-budget exhaustion.  Negative entries of an accepted step are clamped
-    to zero and their mass recorded in ``StepStats.clamped_mass``.
+    after ``state0.t``.  Raises ``IntegrationError`` on step-size underflow,
+    step-budget exhaustion or an error estimate that is not finite.  Negative
+    entries of an accepted step are clamped to zero and their mass recorded in
+    ``StepStats.clamped_mass``.
     """
     times = [float(t) for t in snapshot_times]
     if any(b <= a for a, b in zip(times, times[1:])):
@@ -152,6 +155,9 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
         np.matmul(_E, k, out=err)
         err *= h
         err_norm = _error_norm(err, y, stages[5], cfg.rtol, cfg.atol, scale, inc)
+        if not math.isfinite(err_norm):
+            raise IntegrationError(f"error estimate is not finite at t={t} "
+                                   f"(rtol={cfg.rtol}, atol={cfg.atol})")
         steps += 1
 
         if err_norm <= 1.0:

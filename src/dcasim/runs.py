@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .analysis import ConvergenceTable, rel_l1_error
+from .analysis import rel_l1_error
 from .exact import ExactCase, initial_profile
 from .grid import build_grid
 from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate
@@ -146,7 +146,7 @@ def run_simulation(cfg: RunConfig) -> SimulationRun:
 
 @dataclass
 class SweepResult:
-    tables: dict            # snapshot time -> ConvergenceTable
+    tables: dict            # snapshot time -> (epsilon, E1) rows
     runs: dict              # epsilon -> SimulationRun
     failures: dict = field(default_factory=dict)   # epsilon -> message
 
@@ -168,10 +168,10 @@ def sweep_case(cfg: RunConfig) -> ExactCase:
     return case
 
 
-def run_sweep(cfg: RunConfig, *, case: ExactCase | None = None) -> SweepResult:
+def run_sweep(cfg: RunConfig) -> SweepResult:
     """Run the epsilon ladder and tabulate errors against the closed form of ``cfg``'s case."""
-    case = case or sweep_case(cfg)      # a caller that has called sweep_case passes its result
-    tables = {t: ConvergenceTable(t=t) for t in cfg.snapshot_times}
+    case = sweep_case(cfg)
+    tables = {t: [] for t in cfg.snapshot_times}
     runs, failures = {}, {}
     for eps in cfg.epsilon_list:
         try:
@@ -180,5 +180,5 @@ def run_sweep(cfg: RunConfig, *, case: ExactCase | None = None) -> SweepResult:
             failures[eps] = f"{type(exc).__name__}: {exc}"
             continue
         for st in run.snapshots:
-            tables[st.t].add(rel_l1_error(st, case))
+            tables[st.t].append((eps, rel_l1_error(st, case).E1))
     return SweepResult(tables=tables, runs=runs, failures=failures)

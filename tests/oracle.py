@@ -254,12 +254,6 @@ def constant_mass_defect_rate(c: np.ndarray, kval: float, cval: float) -> float:
     return -(m + 1) * cm * A_m - m * (m + 1) * cval * cm * cm
 
 
-def naive_weighted_rate(c, spec: KernelSpec, epsilon: float) -> float:
-    """sum_i i * Q_i with Q from the naive RHS."""
-    q = naive_rhs(c, spec, epsilon)
-    return math.fsum((i + 1) * q[i] for i in range(len(c)))
-
-
 def naive_weak_form(c, spec: KernelSpec, epsilon: float, phi) -> float:
     """Direct double loop of the moment-equation bracket.
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dcasim.analysis import ConvergenceTable, estimate_order, moment_diagnostics
+from dcasim.analysis import estimate_order, moment_diagnostics
 from dcasim.exact import ExactCase, exact_solution
 from dcasim.grid import build_grid
 from dcasim.integrator import IntegratorConfig, integrate
@@ -130,10 +130,10 @@ def _ladder_check(sweep, times):
     eps^2 |defect integral| / M1(0); the closed form keeps all of it."""
     results = {}
     for t in times:
-        rows = sweep.tables[t].rows
+        rows = sweep.tables[t]
         errs = [err for _, err in rows]
         decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-        order = estimate_order(ConvergenceTable(t=t, rows=rows))
+        order = estimate_order(rows)
         results[t] = (errs, decreasing, order)
     lost = max(run.dk.grid.epsilon ** 2 * abs(run.stats.defect_integrals[-1])
                / moment(run.initial, 1) for run in sweep.runs.values())

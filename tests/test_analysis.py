@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import dcasim.analysis
-from dcasim.analysis import (ConvergenceTable, estimate_order,
-                             moment_diagnostics, rel_l1_error)
+from dcasim.analysis import estimate_order, moment_diagnostics, rel_l1_error
 from dcasim.exact import ExactCase, exact_solution
 from dcasim.grid import build_grid
 from dcasim.kernels import KernelSpec
@@ -115,17 +114,15 @@ def test_error_makes_few_exact_solution_calls(epsilon, monkeypatch):
 
 
 def test_estimate_order_exact_power_laws():
-    t1 = ConvergenceTable(t=1.0, rows=[(0.1, 0.1), (0.01, 0.01)])
-    assert estimate_order(t1) == pytest.approx(1.0)
-    t2 = ConvergenceTable(t=1.0, rows=[(0.1, 0.01), (0.01, 0.0001)])
-    assert estimate_order(t2) == pytest.approx(2.0)
+    assert estimate_order([(0.1, 0.1), (0.01, 0.01)]) == pytest.approx(1.0)
+    assert estimate_order([(0.1, 0.01), (0.01, 0.0001)]) == pytest.approx(2.0)
 
 
 def test_estimate_order_needs_two_rows():
     with pytest.raises(ValueError):
-        estimate_order(ConvergenceTable(t=1.0, rows=[(0.1, 0.1)]))
+        estimate_order([(0.1, 0.1)])
     with pytest.raises(ValueError):
-        estimate_order(ConvergenceTable(t=1.0, rows=[(0.1, 0.0), (0.01, 0.0)]))
+        estimate_order([(0.1, 0.0), (0.01, 0.0)])
 
 
 def _series_from(states, defects):

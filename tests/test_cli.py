@@ -291,6 +291,32 @@ def test_sweep_all_epsilons_failing_exit_code(tmp_path, monkeypatch, capsys):
     assert "epsilon=0.1 failed: IntegrationError: step size underflow" in err
     assert "integrator failure: all 2 epsilon values failed" in err
     assert "Traceback" not in err
+    with open(tmp_path / "sweep" / "errors_t1.csv") as fh:
+        assert fh.read().splitlines() == [
+            "# t = 1.0", "# case = case1", "# epsilon_list = [0.2, 0.1]", "# x_max = 10.0",
+            "# rtol = 1e-06", "# atol = 1e-10",
+            "# failed epsilon=0.2: IntegrationError: step size underflow at t=0.5",
+            "# failed epsilon=0.1: IntegrationError: step size underflow at t=0.5",
+            "epsilon,t,E1,order_estimate_cumulative",
+        ]
+
+
+# tolerances RunConfig accepts but no step can meet: the state or the error
+# estimate overflows, and the run fails on the estimate without a numpy warning
+@pytest.mark.parametrize("settings, flags, tolerances", [
+    ({"case": "case1", "epsilon": 0.002, "x_max": 5, "snapshot_times": [0.05], "atol": 1.0e300},
+     [], "rtol=1e-06, atol=1e+300"),
+    ({"case": "case3", "epsilon": 0.05}, ["--rtol", "5e-324", "--atol", "5e-324"],
+     "rtol=5e-324, atol=5e-324"),
+])
+def test_extreme_tolerances_are_integrator_failure(tmp_path, capsys, settings, flags, tolerances):
+    cfg = _write_config(tmp_path, settings)
+    argv = ["simulate", "--config", cfg, *flags, "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_INTEGRATOR
+    out, err = capsys.readouterr()
+    assert re.fullmatch(rf"integrator failure: error estimate is not finite at t=\S+ "
+                        rf"\({re.escape(tolerances)}\)\n", err)
+    assert "Warning" not in out + err and "Traceback" not in out + err
 
 
 def test_sweep_writes_error_tables(tmp_path):
@@ -486,7 +512,7 @@ def test_uncreatable_output_dir_is_config_error(tmp_path, monkeypatch, capsys, c
 
 
 def test_sweep_value_error_while_running_is_not_config_error(tmp_path, monkeypatch):
-    def broken(cfg, *, case=None):
+    def broken(cfg):
         raise ValueError("raised while integrating")
 
     monkeypatch.setattr(dcasim.cli, "run_sweep", broken)

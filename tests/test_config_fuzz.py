@@ -49,8 +49,9 @@ POOLS = {
     "output_dir": (["{tmp}/other"], [None, 5, True, ["out"], "", "{blocker}/out"]),
     "unknown_key": ([], [1]),
 }
-# the keys each subcommand draws from: the settings it reads, and one no command knows
-KEYS = {command: sorted(reads) + ["unknown_key"] for command, reads in _READS.items()}
+# the keys each subcommand draws from: the settings it reads; one config in eight
+# adds ``unknown_key`` as well, a key no command knows
+KEYS = {command: sorted(reads) for command, reads in _READS.items()}
 # flag -> (values a run accepts, values it rejects), as typed; the tolerances
 # and lambda accept 1e-300 and 5e-324, and lambda is case 2's only
 NOT_NUMBERS = ["nan", "inf", "-1", "abc"]
@@ -77,17 +78,29 @@ def _pick(rng, pool):
 
 
 def _draw(rng, tmp_path):
-    """A subcommand, a config that sets one to three keys, each wrong one time in
-    four, and zero to two flags."""
+    """A subcommand, a config that sets one to three keys it reads, each wrong one
+    time in four, and zero to two flags.
+
+    ``lam`` is rejected off case 2 and beside a ``kernel:`` block, so a drawn
+    ``lam`` keeps a drawn block one time in four and comes with case 2 seven
+    times in eight.
+    """
     command = rng.choice(sorted(KEYS))
     config = dict(BASE[command])
     if command != "validate":
         config["output_dir"] = str(tmp_path / "out")
-    for key in rng.sample(KEYS[command], rng.randint(1, 3)):
+    keys = rng.sample(KEYS[command], rng.randint(1, 3))
+    if {"lam", "kernel"} <= set(keys) and rng.random() < 0.75:
+        keys.remove(rng.choice(["lam", "kernel"]))
+    if rng.random() < 0.125:
+        keys.append("unknown_key")
+    for key in keys:
         value = _pick(rng, POOLS[key])
         if isinstance(value, str) and "{" in value:
             value = value.format(blocker=tmp_path / "file", tmp=tmp_path)
         config[key] = value
+    if "lam" in keys and rng.random() < 0.875:
+        config["case"] = "case2"
     flags = [arg for flag in rng.sample(FLAGS[command], rng.randint(0, 2))
              for arg in (flag, _pick(rng, FLAG_POOLS[flag]))]
     return command, config, flags

@@ -124,9 +124,9 @@ def test_sweep_tabulates_errors_per_time():
     res = run_sweep(cfg)
     assert res.failures == {}
     assert set(res.tables) == {0.5, 1.0}
-    for table in res.tables.values():
-        assert [eps for eps, _ in table.rows] == [0.2, 0.1]
-        errs = [err for _, err in table.rows]
+    for rows in res.tables.values():
+        assert [eps for eps, _ in rows] == [0.2, 0.1]
+        errs = [err for _, err in rows]
         assert errs[1] < errs[0]        # refinement reduces the error
 
 
@@ -144,7 +144,7 @@ def test_sweep_case2_default_lambda_is_case1():
     case1, case2 = (run_sweep(RunConfig(case=case, epsilon_list=(0.2, 0.1),
                                         snapshot_times=(1.0,)))
                     for case in ("case1", "case2"))
-    assert case2.tables[1.0].rows == case1.tables[1.0].rows
+    assert case2.tables[1.0] == case1.tables[1.0]
 
 
 def test_sweep_records_integrator_failures(monkeypatch):
