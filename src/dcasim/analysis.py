@@ -28,8 +28,6 @@ def __getattr__(name):
 
 @dataclass(frozen=True)
 class ErrorReport:
-    epsilon: float
-    t: float
     E1: float
     numerator: float
     denominator: float
@@ -108,8 +106,7 @@ def rel_l1_error(state: DiscreteState, case: ExactCase) -> ErrorReport:
     lo, hi, val = x[:-1], x[1:], value(x[:-1])
     numerator = float(np.sum(np.abs(
         _integrate_cells(lambda x: f(x) - val[:, None], lo, hi, _PANELS))))
-    return ErrorReport(epsilon=grid.epsilon, t=t, E1=numerator / denominator,
-                       numerator=numerator, denominator=denominator)
+    return ErrorReport(E1=numerator / denominator, numerator=numerator, denominator=denominator)
 
 
 def estimate_order(rows) -> float:

@@ -103,10 +103,10 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
     entries of an accepted step are clamped to zero and their mass recorded in
     ``StepStats.clamped_mass``.
     """
-    times = [float(t) for t in snapshot_times]
-    if any(b <= a for a, b in zip(times, times[1:])):
+    queue = [float(t) for t in snapshot_times]
+    if any(b <= a for a, b in zip(queue, queue[1:])):
         raise ValueError("snapshot times must be strictly increasing")
-    if times and times[0] < state0.t:
+    if queue and queue[0] < state0.t:
         raise ValueError("first snapshot time precedes the initial time")
 
     stats = StepStats()
@@ -114,7 +114,6 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
     t = float(state0.t)
     y = state0.c.copy()
     defect_int = 0.0
-    queue = list(times)
     # emit snapshots that coincide with the start time
     while queue and abs(queue[0] - t) <= 1e-14 * max(1.0, abs(t)):
         snapshots.append(DiscreteState(state0.grid, y.copy(), queue.pop(0)))
@@ -134,9 +133,8 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
     stats.rhs_evals += 1
     err_prev = 1.0
 
-    steps = 0
     while queue:
-        if steps >= _MAX_STEPS:
+        if stats.accepted + stats.rejected >= _MAX_STEPS:
             raise IntegrationError(f"exceeded {_MAX_STEPS} steps at t={t}")
         target = queue[0]
         h = min(h, h_max, target - t)
@@ -158,7 +156,6 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
         if not math.isfinite(err_norm):
             raise IntegrationError(f"error estimate is not finite at t={t} "
                                    f"(rtol={cfg.rtol}, atol={cfg.atol})")
-        steps += 1
 
         if err_norm <= 1.0:
             stats.accepted += 1

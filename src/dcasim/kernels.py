@@ -32,10 +32,11 @@ BOUND_KEYS = ("M_cal", "A1", "A2")
 
 
 def finite_float(name: str, value) -> float:
-    """``value`` as a float; ValueError unless it is a finite real number (bools excluded)."""
+    """``value`` as a float, -0.0 as 0.0; ValueError unless it is a finite real
+    number (bools excluded)."""
     if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return float(value) + 0.0
 
 
 @dataclass(frozen=True)
@@ -67,38 +68,35 @@ class KernelSpec:
         if unknown:
             raise ValueError(f"unknown declared bounds {', '.join(sorted(map(str, unknown)))}; "
                              f"known: {', '.join(BOUND_KEYS)}")
-        bounds = self.declared_bounds   # bounds on nonnegative kernels, so nonnegative too
-        for name, value in (("K_value", self.K_value), ("C_value", self.C_value), *bounds.items()):
-            if finite_float(name, value) < 0.0:
+        values = dict(K_value=self.K_value, C_value=self.C_value, **self.declared_bounds)
+        for name, value in values.items():   # bounds on nonnegative kernels, so nonnegative too
+            values[name] = finite_float(name, value)
+            if values[name] < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
         for name in ("K_value", "C_value"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "declared_bounds", {k: float(v) for k, v in bounds.items()})
+            object.__setattr__(self, name, values.pop(name))
+        object.__setattr__(self, "declared_bounds", values)   # the bounds are what remains
 
 
 @dataclass(frozen=True)
 class DiscreteKernel:
     """Discretized kernel pair on a grid, held in separable form (O(m) data).
 
-    ``K_factors`` holds pairs ``(a_r, key_r)`` with
+    Each kernel is a sum of factor pairs ``(a_r, key_r)`` with
     ``Kd[i, j] = sum_r a_r[i] * columns[key_r][j]`` (``a_r`` a scalar or a
-    vector; a ``None`` column is all ones), likewise ``C_factors`` for ``Cd``.
-    The factors carry the grid factor eps, so the RHS applies no second one.
-    The O(m) RHS and defect rate read only the factors and what is derived
-    from them once here: ``index`` is ``1..m`` as floats, ``K_last`` the
-    last-row factors ``(a_r[m], key_r)`` and ``Cd_mm`` the entry ``Cd[m, m]``,
-    both the factors evaluated at the last centre ``x_m`` and so rounded as
-    the factor sums round them.  ``sums`` is the RHS's plan:
-    for ``A + G`` and for ``W + Z`` its groups of terms ``(a_r, key_r, kind)``,
-    one per kernel of nonzero value (K's first) or one merged group of ``row``
-    terms when K and C are the same kernel (``dcasim.rhs`` defines the kinds).
-    Only ``discretize`` sets these derived fields.
+    vector; a ``None`` column is all ones), carrying the grid factor eps, so
+    the RHS applies no second one.  ``sums`` is the RHS's plan: for ``A + G``
+    and for ``W + Z`` its groups of terms ``(a_r, key_r, kind)``, one per
+    kernel of nonzero value (K's first) or one merged group of ``row`` terms
+    when K and C are the same kernel (``dcasim.rhs`` defines the kinds).  The
+    defect rate reads ``index``, ``1..m`` as floats, ``K_last``, K's factors
+    ``(a_r[m], key_r)`` at the last centre ``x_m``, and ``Cd_mm``, the entry
+    ``Cd[m, m]``, both rounded as the factor sums round them.  Only
+    ``discretize`` sets these fields.
     """
 
     grid: Grid
     spec: KernelSpec
-    K_factors: tuple
-    C_factors: tuple
     columns: dict
     index: np.ndarray
     K_last: tuple
@@ -151,10 +149,9 @@ def discretize(spec: KernelSpec, grid: Grid) -> DiscreteKernel:
     Cd_mm = 0.0   # sum_r a_r[m] * b_r[m], added in factor order as the factor sums add it
     for a, key in _FACTORS[spec.family_C](grid.epsilon * spec.C_value, x_m):
         Cd_mm += a * b_m[key]
-    return DiscreteKernel(grid=grid, spec=spec, K_factors=K_factors, C_factors=C_factors,
-                          columns=columns, index=np.arange(1, grid.m + 1, dtype=float),
-                          K_last=_FACTORS[spec.family_K](grid.epsilon * spec.K_value, x_m),
-                          Cd_mm=Cd_mm, sums=_plan(spec, K_factors, C_factors))
+    return DiscreteKernel(grid=grid, spec=spec, sums=_plan(spec, K_factors, C_factors),
+                          columns=columns, index=np.arange(1.0, grid.m + 1), Cd_mm=Cd_mm,
+                          K_last=_FACTORS[spec.family_K](grid.epsilon * spec.K_value, x_m))
 
 
 def _plan(spec: KernelSpec, K_factors, C_factors):

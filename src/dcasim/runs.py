@@ -64,9 +64,8 @@ class RunConfig:
                              f"moment_diagnostics, which no run calls; a run reads M_cal only")
         self.exact_case()
         self.integrator_config()
-        for eps in (self.epsilon, *self.epsilon_list):
-            if eps is not None:
-                build_grid(eps, self.x_max)
+        for eps in self.epsilon_list if self.epsilon is None else (self.epsilon,):
+            build_grid(eps, self.x_max)   # the grids a run of these settings builds
 
     def integrator_config(self) -> IntegratorConfig:
         return IntegratorConfig(rtol=self.rtol, atol=self.atol)
@@ -100,7 +99,6 @@ class SimulationRun:
     moments: MomentSeries
     stats: StepStats
     projection_loss: ProjectionLoss
-    hypotheses_verified: bool
 
     def metadata(self) -> dict:
         # kernel_K, kernel_K_value, kernel_C, kernel_C_value, kernel_declared_bounds
@@ -108,10 +106,12 @@ class SimulationRun:
         kernel = {"kernel_" + f.name.removeprefix("family_"): getattr(spec, f.name)
                   for f in fields(spec)}
         md = config_metadata(self.config, {"epsilon": grid.epsilon, "m": grid.m}, kernel)
+        probe = probe_hypotheses(spec)
         md.update({
             "projection_dust": self.projection_loss.dust,
             "projection_tail": self.projection_loss.tail,
-            "hypotheses": "verified" if self.hypotheses_verified else "hypotheses-unverified",
+            "hypotheses": "verified" if probe.ch1_pass and probe.ch2_pass
+                          else "hypotheses-unverified",
             **self.stats.metadata(),
         })
         return md
@@ -122,16 +122,12 @@ def run_simulation(cfg: RunConfig) -> SimulationRun:
     and moments."""
     if cfg.epsilon is None:
         raise ValueError("no epsilon given")
-    spec = cfg.kernel_pair()
     grid = build_grid(cfg.epsilon, cfg.x_max)
-    dk = discretize(spec, grid)
+    dk = discretize(cfg.kernel_pair(), grid)
 
     f_in = initial_profile(cfg.exact_case())
     state0, loss = project_initial(f_in, grid)
     norm = weighted_initial_norm(f_in, cfg.x_max)
-
-    probe = probe_hypotheses(spec)
-    verified = probe.ch1_pass and probe.ch2_pass
 
     snapshots, stats = integrate(state0, dk, cfg.integrator_config(), cfg.snapshot_times)
 
@@ -141,7 +137,7 @@ def run_simulation(cfg: RunConfig) -> SimulationRun:
         check_apriori_bounds(moments, norm, slack=100.0 * cfg.rtol)
 
     return SimulationRun(config=cfg, dk=dk, initial=state0, snapshots=snapshots, moments=moments,
-                         stats=stats, projection_loss=loss, hypotheses_verified=verified)
+                         stats=stats, projection_loss=loss)
 
 
 @dataclass
@@ -153,6 +149,8 @@ class SweepResult:
 
 def sweep_case(cfg: RunConfig) -> ExactCase:
     """The closed-form case a sweep of ``cfg`` measures against; ValueError if none."""
+    if cfg.epsilon is not None:   # RunConfig checked the ladder's grids only without it
+        raise ValueError("sweep runs each entry of epsilon_list; epsilon sets a single run")
     if len(cfg.epsilon_list) < 2:
         raise ValueError("sweep needs at least 2 epsilon values")
     if not cfg.snapshot_times:

@@ -1,9 +1,15 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is written as literal, loop-based transcriptions of the
-defining formulas, sharing no code with the package: a naive RHS built
-directly from the kernel closed forms, a direct weak-form double loop, and a
-fixed-step classical RK4 reference integrator.  The two RHS evaluations the
+defining formulas: a naive RHS built directly from the kernel closed forms, a
+direct weak-form double loop, and a fixed-step classical RK4 reference
+integrator.  Besides the package's types, its closed-form solutions and the
+``rhs_vector`` that the reference integrators step with, the references
+share with the package what fixes its rounding, so that those which must
+equal it bit for bit pin that rounding: the integrator's tableau, its
+controller constants, ``_clamp_negative`` and ``_error_norm``, the kernels'
+factor table ``_FACTORS`` (read by ``factors``), and a ``DiscreteKernel``'s
+``columns``, ``sums`` and ``index``.  The two RHS evaluations the
 package used before its separable-factor path are kept as references too:
 the O(m^2) row-cumulative sums over the dense matrices, and the O(m)
 prefix-sum formula for constant kernels.  The allocating separable-factor RHS
@@ -32,7 +38,7 @@ from scipy.optimize import brentq
 from dcasim.analysis import ErrorReport
 from dcasim.exact import ExactCase, breakpoints, exact_solution
 from dcasim.grid import Grid
-from dcasim.kernels import FAMILIES, DiscreteKernel, KernelSpec
+from dcasim.kernels import _FACTORS, FAMILIES, DiscreteKernel, KernelSpec
 from dcasim.integrator import (_A_ROWS, _E, _FAC_MAX, _FAC_MIN, _MAX_STEPS, _PI_ALPHA,
                                _PI_BETA, _SAFETY, IntegrationError, IntegratorConfig,
                                StepStats, _clamp_negative, _error_norm)
@@ -122,6 +128,13 @@ def constant_sums(c: np.ndarray, kval: float, cval: float):
     return A, W, G, Z
 
 
+def factors(dk: DiscreteKernel):
+    """K's and C's separable factors ``(a_r, key_r)``, evaluated as ``discretize`` does."""
+    xs, eps, spec = dk.grid.centers(), dk.grid.epsilon, dk.spec
+    return (_FACTORS[spec.family_K](eps * spec.K_value, xs),
+            _FACTORS[spec.family_C](eps * spec.C_value, xs))
+
+
 def _reference_combine(factors, sums):
     """``sum_r a_r * sums[key_r]`` over the separable factors."""
     (a, key), *rest = factors
@@ -140,12 +153,12 @@ def reference_rhs_vector(c: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
         pre_jc[key], pre_c[key] = np.cumsum(bjc), np.cumsum(bc)
         suf_jc[key] = pre_jc[key][-1] - pre_jc[key] + bjc
         suf_c[key] = pre_c[key][-1] - pre_c[key] + bc
-    flux = c * (_reference_combine(dk.K_factors, pre_jc)
-                + _reference_combine(dk.C_factors, suf_jc))
+    K, C = factors(dk)
+    flux = c * (_reference_combine(K, pre_jc) + _reference_combine(C, suf_jc))
     Q = np.empty_like(c)
     Q[0] = -flux[0]
     Q[1:] = flux[:-1] - flux[1:]
-    Q -= c * (_reference_combine(dk.K_factors, suf_c) + _reference_combine(dk.C_factors, pre_c))
+    Q -= c * (_reference_combine(K, suf_c) + _reference_combine(C, pre_c))
     return Q
 
 
@@ -157,8 +170,9 @@ def reference_mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
     col_m = {key: 1.0 if b is None else b[-1] for key, b in dk.columns.items()}
     # a sum started at +0.0, as an empty one: K = 0 gives A_m = +0.0 whatever the
     # columns' signs (only the sign of a zero total depends on the start)
-    A_m = 0.0 + np.atleast_1d(_reference_combine(dk.K_factors, col_jc))[-1]
-    C_mm = np.atleast_1d(_reference_combine(dk.C_factors, col_m))[-1]
+    K, C = factors(dk)
+    A_m = 0.0 + np.atleast_1d(_reference_combine(K, col_jc))[-1]
+    C_mm = np.atleast_1d(_reference_combine(C, col_m))[-1]
     cm = float(c[-1])
     return float(-(m + 1) * cm * A_m - m * (m + 1) * C_mm * cm * cm)
 
@@ -171,7 +185,7 @@ def tied_sums(c: np.ndarray, dk: DiscreteKernel):
     """
     def combine(v):
         out = None
-        for a, key in dk.K_factors:
+        for a, key in factors(dk)[0]:
             b = dk.columns[key]
             own = v if b is None else b * v
             term = a * (own + np.sum(own))
@@ -213,7 +227,7 @@ def exact_rhs(c: np.ndarray, dk: DiscreteKernel) -> list[Fraction]:
     cs = [Fraction(float(v)) for v in c]
     jc = [(j + 1) * v for j, v in enumerate(cs)]
 
-    def factors(fs):
+    def exact(fs):
         return [([Fraction(float(x)) for x in np.broadcast_to(a, (m,))],
                  [Fraction(1)] * m if dk.columns[key] is None
                  else [Fraction(float(x)) for x in dk.columns[key]]) for a, key in fs]
@@ -229,7 +243,7 @@ def exact_rhs(c: np.ndarray, dk: DiscreteKernel) -> list[Fraction]:
                 out[i] += a[i] * (run if lower else total - run + bv[i])
         return out
 
-    K, C = factors(dk.K_factors), factors(dk.C_factors)
+    K, C = (exact(fs) for fs in factors(dk))
     AG = [x + y for x, y in zip(row_sums(K, jc, True), row_sums(C, jc, False))]
     WZ = [x + y for x, y in zip(row_sums(K, cs, False), row_sums(C, cs, True))]
     flux = [ci * s for ci, s in zip(cs, AG)]
@@ -468,8 +482,7 @@ def scalar_rel_l1_error(state: DiscreteState, case: ExactCase,
         cuts = sorted([a, b] + [p for p in hard if a < p < b])
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             denominator += _simpson(f_ex, lo, hi, panels)
-    return ErrorReport(epsilon=grid.epsilon, t=t, E1=numerator / denominator,
-                       numerator=numerator, denominator=denominator)
+    return ErrorReport(E1=numerator / denominator, numerator=numerator, denominator=denominator)
 
 
 def body_of(path: str) -> str:

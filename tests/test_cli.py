@@ -332,6 +332,29 @@ def test_sweep_writes_error_tables(tmp_path):
     assert float(rows[1][3]) > 0.0
 
 
+def test_negative_zero_settings_read_as_zero(tmp_path):
+    # -0.0 == 0.0, so no file name or header may tell them apart
+    cfg = _write_config(tmp_path, {**FAST_YAML, "case": "case2", "lam": -0.0,
+                                   "snapshot_times": [-0.0, 0.5]})
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["moments.csv", "snapshot_t0.5.csv", "snapshot_t0.csv"]
+    header = _header(out / "snapshot_t0.csv")
+    assert (header["t"], header["lam"], header["kernel_C_value"]) == ("0.0", "0.0", "0.0")
+    cfg = _write_config(tmp_path, {**SWEEP_YAML, "snapshot_times": [-0.0, 1.0]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["errors_t0.csv", "errors_t1.csv"]
+    assert _header(out / "errors_t0.csv")["t"] == "0.0"
+
+
+def test_simulate_checks_only_its_own_grid(tmp_path):
+    # x_max = 0.1 holds 9 cells of width 0.01, and fewer than 3 of the default
+    # ladder's 0.05, which simulate never reads
+    cfg = _write_config(tmp_path, {"epsilon": 0.01, "x_max": 0.1, "snapshot_times": [0.01]})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 def test_sweep_single_epsilon_is_config_error(tmp_path):
     cfg = _write_config(tmp_path, {**SWEEP_YAML, "epsilon_list": [0.2]})
     assert main(["sweep", "--config", cfg]) == EXIT_CONFIG

@@ -82,8 +82,9 @@ def _draw(rng, tmp_path):
     time in four, and zero to two flags.
 
     ``lam`` is rejected off case 2 and beside a ``kernel:`` block, so a drawn
-    ``lam`` keeps a drawn block one time in four and comes with case 2 seven
-    times in eight.
+    ``lam`` key keeps a drawn block one time in four, and a drawn ``lam``, key
+    or ``--lambda`` flag, comes with case 2 seven times in eight: in the config,
+    and in a drawn ``--case`` flag, which would override it.
     """
     command = rng.choice(sorted(KEYS))
     config = dict(BASE[command])
@@ -99,11 +100,13 @@ def _draw(rng, tmp_path):
         if isinstance(value, str) and "{" in value:
             value = value.format(blocker=tmp_path / "file", tmp=tmp_path)
         config[key] = value
-    if "lam" in keys and rng.random() < 0.875:
+    flags = {flag: _pick(rng, FLAG_POOLS[flag])
+             for flag in rng.sample(FLAGS[command], rng.randint(0, 2))}
+    if ("lam" in keys or "--lambda" in flags) and rng.random() < 0.875:
         config["case"] = "case2"
-    flags = [arg for flag in rng.sample(FLAGS[command], rng.randint(0, 2))
-             for arg in (flag, _pick(rng, FLAG_POOLS[flag]))]
-    return command, config, flags
+        if "--case" in flags:
+            flags["--case"] = "case2"
+    return command, config, [arg for flag in flags.items() for arg in flag]
 
 
 @pytest.mark.parametrize("seed", range(4))

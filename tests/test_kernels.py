@@ -1,16 +1,17 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dcasim.grid import build_grid
-from dcasim.kernels import (FAMILIES, HypothesisReport, KernelSpec, discretize,
+from dcasim.kernels import (FAMILIES, HypothesisReport, KernelSpec, discretize, finite_float,
                             probe_hypotheses)
 from dcasim.rhs import mass_defect_rate, rhs_vector
 from dcasim.runs import RunConfig
 
-from oracle import FAMILY_PAIRS, kernel_value, naive_matrices, plan_kinds, small_grid
+from oracle import FAMILY_PAIRS, factors, kernel_value, naive_matrices, plan_kinds, small_grid
 
 
 def _point_rule(spec, which, g):
@@ -109,14 +110,22 @@ def test_kernel_settings_rejected(bad):
         KernelSpec(**bad)
 
 
+def test_negative_zero_values_are_zero():
+    # -0.0 == 0.0, so a header must not tell them apart; every other float is kept
+    assert math.copysign(1.0, finite_float("x", -0.0)) == 1.0
+    assert finite_float("x", -1e-300) == -1e-300
+    spec = KernelSpec(K_value=-0.0, C_value=-0.0, declared_bounds={"M_cal": -0.0})
+    for value in (spec.K_value, spec.C_value, spec.declared_bounds["M_cal"]):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_point_rule_constant_matrix():
     g = build_grid(0.1, 2.0)
     dk = discretize(KernelSpec(family_K="constant", K_value=1.0, C_value=1.0), g)
     np.testing.assert_allclose(dk.Kd, 0.1)
     np.testing.assert_allclose(dk.Cd, 0.1)
     # scalar row factors, as the O(m) constant formula uses them
-    assert dk.K_factors == ((0.1 * 1.0, "1"),)
-    assert dk.C_factors == ((0.1 * 1.0, "1"),)
+    assert factors(dk) == (((0.1 * 1.0, "1"),),) * 2
     assert dk.columns == {"1": None}
 
 
@@ -126,7 +135,7 @@ def test_point_rule_product_entry():
     spec = KernelSpec(family_K="product", family_C="product")
     dk = discretize(spec, g)
     assert dk.Kd[1, 2] == pytest.approx(0.1 * (0.2 * 0.3))
-    (a, key), = dk.K_factors
+    (a, key), = factors(dk)[0]
     assert a[1] * dk.columns[key][2] == pytest.approx(0.1 * (0.2 * 0.3))
 
 
@@ -135,10 +144,10 @@ def test_factors_reproduce_dense_matrices():
     ones = np.ones(g.m)
     for spec in FAMILY_PAIRS:
         dk = discretize(spec, g)
-        for factors, dense in ((dk.K_factors, dk.Kd), (dk.C_factors, dk.Cd)):
+        for fs, dense in zip(factors(dk), (dk.Kd, dk.Cd)):
             rebuilt = sum(np.outer(np.broadcast_to(a, g.m),
                                    ones if dk.columns[key] is None else dk.columns[key])
-                          for a, key in factors)
+                          for a, key in fs)
             np.testing.assert_allclose(rebuilt, dense, rtol=1e-13, atol=0.0)
 
 
@@ -149,12 +158,13 @@ def test_cached_kernel_data_match_their_definitions():
         xs = g.centers()
         for spec in FAMILY_PAIRS:
             dk = discretize(spec, g)
+            K_factors, C_factors = factors(dk)
             np.testing.assert_array_equal(dk.index, np.arange(1, g.m + 1))
             assert dk.index.dtype == float
             assert dk.K_last == tuple((np.broadcast_to(a, g.m)[-1], key)
-                                      for a, key in dk.K_factors)
+                                      for a, key in K_factors)
             # last rows sum_r a_r[m] * b_r; the dense matrices round x*y*L*eps differently
-            C_last = [(np.broadcast_to(a, g.m)[-1], key) for a, key in dk.C_factors]
+            C_last = [(np.broadcast_to(a, g.m)[-1], key) for a, key in C_factors]
             K_row, C_row = (np.broadcast_to(sum(
                 a * (1.0 if dk.columns[key] is None else xs) for a, key in last), g.m)
                 for last in (dk.K_last, C_last))

@@ -10,10 +10,10 @@ from dcasim.rhs import mass_defect_rate, rhs_vector
 from dcasim.runs import RunConfig
 
 from oracle import (FAMILY_PAIRS, ORACLE_KERNELS, constant_mass_defect_rate,
-                    constant_sums, dense_mass_defect_rate, dense_sums, exact_rhs, naive_rhs,
-                    naive_weak_form, reference_mass_defect_rate, reference_rhs_vector,
-                    plan_kinds, rhs_from_pair_sums, rhs_from_sums, small_grid, tied_sums,
-                    weak_form_rate)
+                    constant_sums, dense_mass_defect_rate, dense_sums, exact_rhs, factors,
+                    naive_rhs, naive_weak_form, reference_mass_defect_rate,
+                    reference_rhs_vector, plan_kinds, rhs_from_pair_sums, rhs_from_sums,
+                    small_grid, tied_sums, weak_form_rate)
 
 
 def _dk(spec, epsilon, m):
@@ -80,7 +80,7 @@ def test_tied_path_bitwise_matches_allocating_reference(spec):
     rng = np.random.default_rng(43)
     for m in (2, 3, 17, 2000):
         dk = _dk(spec, float(rng.uniform(0.005, 0.4)), m)
-        assert plan_kinds(dk) == ((("row",) * len(dk.K_factors),),) * 2
+        assert plan_kinds(dk) == ((("row",) * len(factors(dk)[0]),),) * 2
         for c in (rng.random(m), rng.random(m) - 0.3, -rng.random(m)):
             np.testing.assert_array_equal(rhs_vector(c, dk),
                                           rhs_from_pair_sums(c, *tied_sums(c, dk)))

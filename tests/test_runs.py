@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import pytest
@@ -6,7 +7,7 @@ import dcasim.runs
 from dcasim.exact import CASE_IDS
 from dcasim.integrator import IntegrationError
 from dcasim.kernels import KernelSpec
-from dcasim.runs import RunConfig, run_simulation, run_sweep
+from dcasim.runs import DEFAULT_EPSILON_LADDER, RunConfig, run_simulation, run_sweep
 
 FAST = dict(epsilon=0.2, snapshot_times=(0.5, 1.0))
 
@@ -28,6 +29,21 @@ def test_config_validation():
     assert RunConfig(kernel=spec).kernel is spec
     # snapshot times are stored sorted, without repeats
     assert RunConfig(snapshot_times=[2.5, 1.0, 2.5, 0]).snapshot_times == (0.0, 1.0, 2.5)
+
+
+def test_negative_zero_snapshot_time_is_zero():
+    # -0.0 == 0.0: whichever comes first, one time is kept, and it is +0.0
+    for times in ([0.0, -0.0], [-0.0, 0.0], [-0.0, 0.5]):
+        t = RunConfig(snapshot_times=times).snapshot_times[0]
+        assert t == 0.0 and math.copysign(1.0, t) == 1.0
+
+
+def test_config_builds_only_the_grids_its_run_reads():
+    # a single run builds only the grid of its epsilon; the default ladder's
+    # 0.005 would hold 2e7 cells on [0, 1e5], over the cell-count bound
+    assert RunConfig(epsilon=0.5, x_max=1e5).epsilon_list == DEFAULT_EPSILON_LADDER
+    with pytest.raises(ValueError, match="epsilon=0.005"):
+        RunConfig(x_max=1e5)
 
 
 def test_kernel_for_case():
@@ -69,7 +85,6 @@ def test_run_simulation_collects_everything():
     assert [s.t for s in run.snapshots] == [0.5, 1.0]
     assert len(run.moments.times) == 3          # t=0 plus two snapshots
     assert run.moments.times[0] == 0.0
-    assert run.hypotheses_verified
     md = run.metadata()
     assert md["case"] == "case1"
     assert md["m"] == run.dk.grid.m
@@ -80,7 +95,6 @@ def test_run_simulation_collects_everything():
 def test_run_simulation_tags_unverified_kernels():
     spec = KernelSpec(family_K="product", family_C="product")
     run = run_simulation(RunConfig(case="case1", kernel=spec, **FAST))
-    assert not run.hypotheses_verified
     assert run.metadata()["hypotheses"] == "hypotheses-unverified"
 
 
@@ -116,6 +130,19 @@ def test_sweep_needs_reference_mass_at_each_time(monkeypatch):
     cfg = RunConfig(case="case1", x_max=3.0, epsilon_list=(0.2, 0.1))
     with pytest.raises(ValueError, match=r"no mass on \[0, 3.0\] at t=2.5"):
         run_sweep(cfg)
+
+
+def test_sweep_rejects_a_single_epsilon(monkeypatch):
+    # a config with epsilon had only that grid checked, so a sweep refuses it
+    # before its first run
+    def no_run(cfg):
+        raise AssertionError("integration started before the check")
+
+    monkeypatch.setattr(dcasim.runs, "run_simulation", no_run)
+    for cfg in (RunConfig(epsilon=0.5, x_max=1e5),
+                RunConfig(epsilon=0.2, epsilon_list=(0.2, 0.1), snapshot_times=(1.0,))):
+        with pytest.raises(ValueError, match="epsilon sets a single run"):
+            run_sweep(cfg)
 
 
 def test_sweep_tabulates_errors_per_time():
