@@ -122,8 +122,8 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
         return snapshots, stats
 
     span = queue[-1] - t
-    h_max = span / 10.0
-    h = 1e-4 * span
+    floor = 1e-14 * max(1.0, abs(t))   # the underflow floor; a span below 1e-10 starts at it
+    h_max, h = max(span / 10.0, floor), max(1e-4 * span, floor)
 
     k = np.empty((7, y.size))
     d = np.empty(7)   # the defect rate D of each stage

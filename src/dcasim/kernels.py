@@ -88,19 +88,14 @@ class DiscreteKernel:
     the RHS applies no second one.  ``sums`` is the RHS's plan: for ``A + G``
     and for ``W + Z`` its groups of terms ``(a_r, key_r, kind)``, one per
     kernel of nonzero value (K's first) or one merged group of ``row`` terms
-    when K and C are the same kernel (``dcasim.rhs`` defines the kinds).  The
-    defect rate reads ``index``, ``1..m`` as floats, ``K_last``, K's factors
-    ``(a_r[m], key_r)`` at the last centre ``x_m``, and ``Cd_mm``, the entry
-    ``Cd[m, m]``, both rounded as the factor sums round them.  Only
-    ``discretize`` sets these fields.
+    when K and C are the same kernel (``dcasim.rhs`` defines the kinds), and
+    ``index`` is ``1..m`` as floats.  Only ``discretize`` sets these fields.
     """
 
     grid: Grid
     spec: KernelSpec
     columns: dict
     index: np.ndarray
-    K_last: tuple
-    Cd_mm: float
     sums: tuple
 
     @property
@@ -143,15 +138,8 @@ def discretize(spec: KernelSpec, grid: Grid) -> DiscreteKernel:
     K_factors = _FACTORS[spec.family_K](grid.epsilon * spec.K_value, xs)
     C_factors = _FACTORS[spec.family_C](grid.epsilon * spec.C_value, xs)
     columns = {key: None if key == "1" else xs for _, key in K_factors + C_factors}
-    # row m's factors are the family's factors at the last centre: the same products
-    x_m = float(xs[-1])
-    b_m = {"1": 1.0, "x": x_m}
-    Cd_mm = 0.0   # sum_r a_r[m] * b_r[m], added in factor order as the factor sums add it
-    for a, key in _FACTORS[spec.family_C](grid.epsilon * spec.C_value, x_m):
-        Cd_mm += a * b_m[key]
     return DiscreteKernel(grid=grid, spec=spec, sums=_plan(spec, K_factors, C_factors),
-                          columns=columns, index=np.arange(1.0, grid.m + 1), Cd_mm=Cd_mm,
-                          K_last=_FACTORS[spec.family_K](grid.epsilon * spec.K_value, x_m))
+                          columns=columns, index=np.arange(1.0, grid.m + 1))
 
 
 def _plan(spec: KernelSpec, K_factors, C_factors):

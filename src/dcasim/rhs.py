@@ -37,20 +37,19 @@ last bits: against exact rational arithmetic on ``x e^-x`` their L1 error is
 0.77-1.00 times that of prefix sums (``tests/test_rhs.py`` bounds it by 2).
 
 ``rhs_vector`` runs once per Dormand-Prince stage, so its cost per call sets
-the cost of a run.  It reads the index vector ``1..m``, the last-row K factors
-and ``Cd[m,m]`` that ``discretize`` caches, scales each fresh sum in place, and
-writes into the integrator's stage buffer when given ``out``.  Given
-``defect``, the same pass also yields the boundary defect rate D: its ``A_m``
-is a sum of K's column totals ``b_r . (j * c)``, which a ``row`` term takes
-anyway and a ``prefix`` term takes as one more ``sum`` (its last prefix would
-round differently).  This pass is the only place D is computed:
-``mass_defect_rate`` runs it, and the integrator reads D off its stage calls.
-The rounding of every entry, D included, is that of the allocating forms kept
-in ``tests/oracle.py``.  At m = 4999 (eps = 0.002; best of 20 x 300 calls on a
-2-core box) ``rhs_vector`` takes about 25, 30 and 45 us for constant, product
-and sum kernels with K = C, 52 us for case 3's C = 0, 63 us for a constant
-pair with C != K and 100-120 us for mixed families; writing D adds about 1 us
-with K = C and about 3 us per prefix term of K otherwise.
+the cost of a run.  It reads the index vector ``1..m`` that ``discretize``
+caches, scales each fresh sum in place, and writes into the integrator's stage
+buffer when given ``out``.  Given ``defect``, the same pass also yields the
+boundary defect rate ``D = -(m+1) * flux_m``, ``flux_m = c_m * (A_m + G_m)``
+the outflow it applies through the last face, the flux row m would pass to a
+cell m + 1 (Filbet & Laurencot read this outflow as gelation).  This pass is
+the only place D is computed: ``mass_defect_rate`` runs it, and the
+integrator reads D off its stage calls.  The rounding of every entry is that
+of the allocating forms kept in ``tests/oracle.py``.  At m = 4999
+(eps = 0.002; best of 20 x 300 calls on a 2-core box) ``rhs_vector`` takes
+about 25, 30 and 45 us for constant, product and sum kernels with K = C,
+52 us for case 3's C = 0, 63 us for a constant pair with C != K and
+100-120 us for mixed families.
 """
 
 from __future__ import annotations
@@ -60,16 +59,9 @@ import numpy as np
 from .kernels import DiscreteKernel
 
 
-def _combine(groups, v, columns, totals=None):
+def _combine(groups, v, columns):
     """The plan's sum over ``v`` as a new array, zero for no group: the terms
-    ``a_r * S_r`` of each group added in order, then the groups in order.
-
-    ``totals``, when given, receives in plan order the column total
-    ``sum_j b_r[j] * v_j`` of every ``row`` term and of every ``prefix`` term
-    that opens its column's prefix sum; in ``A + G`` these are exactly K's
-    terms, in K's factor order.  A prefix term's total is a fresh ``sum``, not
-    the last prefix: a cumulative sum rounds differently.
-    """
+    ``a_r * S_r`` of each group added in order, then the groups in order."""
     total, prefixes = None, {}   # key -> (own term b * v, its prefix sum)
     for group in groups:
         acc = None
@@ -78,16 +70,11 @@ def _combine(groups, v, columns, totals=None):
                 b = columns[key]
                 own = v if b is None else b * v
             if kind == "row":   # in place unless own is v itself
-                column = own.sum()
-                if totals is not None:
-                    totals.append(column)
-                term = np.add(own, column, out=None if b is None else own)
+                term = np.add(own, own.sum(), out=None if b is None else own)
                 term *= a
             else:
                 if key not in prefixes:
                     prefixes[key] = own, own.cumsum()
-                    if totals is not None and kind == "prefix":
-                        totals.append(own.sum())
                 own, pre = prefixes[key]
                 if kind == "prefix":   # scaled into a copy: a suffix may read pre later
                     term = a * pre
@@ -110,11 +97,10 @@ def rhs_vector(c: np.ndarray, dk: DiscreteKernel, out: np.ndarray | None = None,
     """
     Q = np.empty_like(c) if out is None else out
     AG, WZ = dk.sums
-    totals = None if defect is None else []
-    flux = _combine(AG, dk.index * c, dk.columns, totals)   # A + G and W + Z of the module docstring
-    if defect is not None:
-        defect[0] = _defect(c, dk, totals)
+    flux = _combine(AG, dk.index * c, dk.columns)   # A + G and W + Z of the module docstring
     flux *= c
+    if defect is not None:   # the outflow through the last face
+        defect[0] = -(c.size + 1) * flux[-1]
     Q[0] = -flux[0]
     np.subtract(flux[:-1], flux[1:], out=Q[1:])
     loss = _combine(WZ, c, dk.columns)
@@ -126,10 +112,11 @@ def rhs_vector(c: np.ndarray, dk: DiscreteKernel, out: np.ndarray | None = None,
 def mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
     """Exact boundary correction to discrete-mass conservation.
 
-    Returns ``D = -(m+1) c_m A_m - m (m+1) Cd[m,m] c_m^2``; the telescoping of
-    the weighted sums gives ``sum_i i * Q_i = D`` identically for symmetric
-    kernels, so interior mass is conserved exactly whenever the boundary cell
-    is empty.  It is the D that ``rhs_vector(c, dk, defect=...)`` writes.
+    Returns ``D = -(m+1) c_m (A_m + G_m)``, the outflow through the last face
+    (``G_m = m Cd[m,m] c_m``); the telescoping of the weighted sums gives
+    ``sum_i i * Q_i = D`` identically for symmetric kernels, so interior mass
+    is conserved exactly whenever the boundary cell is empty.  It is the D
+    that ``rhs_vector(c, dk, defect=...)`` writes.
     """
     if c.size != dk.grid.m:
         raise ValueError("state and discrete kernel live on different grids")
@@ -137,12 +124,3 @@ def mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
     rhs_vector(c, dk, defect=defect)
     return float(defect[0])
 
-
-def _defect(c, dk, totals):
-    """``D`` with ``A_m = sum_r a_r[m] * totals[r]`` over K's last-row factors,
-    ``totals`` the column totals ``b_r . jc`` (none for K = 0, whose plan has no terms)."""
-    A_m = 0.0
-    for (a, _), column in zip(dk.K_last, totals):
-        A_m += a * float(column)
-    m, cm = c.size, float(c[-1])
-    return float(-(m + 1) * cm * A_m - m * (m + 1) * dk.Cd_mm * cm * cm)

@@ -13,12 +13,18 @@ factor table ``_FACTORS`` (read by ``factors``), and a ``DiscreteKernel``'s
 package used before its separable-factor path are kept as references too:
 the O(m^2) row-cumulative sums over the dense matrices, and the O(m)
 prefix-sum formula for constant kernels.  The allocating separable-factor RHS
-and defect rate that the package ran before its buffer-reusing ones are kept
-too, and so is the allocating form of the column-total RHS it runs when
-K = C; the package's must equal them bit for bit.  So must its integrator the
-Dormand-Prince loop it ran before the defect rate came out of the RHS pass:
-one defect-rate call per stage (here the reference one) and a seven-term
-candidate sum.  An exact rational RHS measures the rounding of both.  The vectorised weak-form rate over
+that the package ran before its buffer-reusing one is kept too, and so is the
+allocating form of the column-total RHS it runs when K = C; the package's
+must equal them bit for bit.  So must its boundary defect rate equal
+``reference_defect_rate``, the outflow ``-(m+1) * flux_m`` through the last
+face of those allocating forms.  ``reference_mass_defect_rate``, the
+column-total formula ``-(m+1) c_m A_m - m (m+1) Cd[m,m] c_m^2`` that the
+package computed D by before, and ``constant_mass_defect_rate`` round D
+differently and are its tolerance references.  The package's integrator must
+equal bit for bit the Dormand-Prince loop it ran before the defect rate came
+out of the RHS pass: one defect-rate call per stage (here
+``reference_defect_rate``) and a seven-term candidate sum.  An exact rational
+RHS measures the rounding of both RHS forms.  The vectorised weak-form rate over
 the dense matrices lives here as well; no package code calls it.  The scalar relative-L1 error
 measurement the package used before its vectorised one is kept as well: a
 Simpson rule and a row of sign probes per segment, and a scalar ``brentq``
@@ -144,8 +150,8 @@ def _reference_combine(factors, sums):
     return out
 
 
-def reference_rhs_vector(c: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
-    """The separable-factor RHS with a fresh array per intermediate."""
+def _reference_factor_sums(c: np.ndarray, dk: DiscreteKernel):
+    """``A + G`` and ``W + Z`` from prefix and suffix sums, each a fresh array."""
     jc = np.arange(1, c.size + 1, dtype=float) * c
     pre_jc, suf_jc, pre_c, suf_c = {}, {}, {}, {}
     for key, b in dk.columns.items():
@@ -154,16 +160,39 @@ def reference_rhs_vector(c: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
         suf_jc[key] = pre_jc[key][-1] - pre_jc[key] + bjc
         suf_c[key] = pre_c[key][-1] - pre_c[key] + bc
     K, C = factors(dk)
-    flux = c * (_reference_combine(K, pre_jc) + _reference_combine(C, suf_jc))
+    return (_reference_combine(K, pre_jc) + _reference_combine(C, suf_jc),
+            _reference_combine(K, suf_c) + _reference_combine(C, pre_c))
+
+
+def reference_rhs_vector(c: np.ndarray, dk: DiscreteKernel) -> np.ndarray:
+    """The separable-factor RHS with a fresh array per intermediate."""
+    AG, WZ = _reference_factor_sums(c, dk)
+    flux = c * AG
     Q = np.empty_like(c)
     Q[0] = -flux[0]
     Q[1:] = flux[:-1] - flux[1:]
-    Q -= c * (_reference_combine(K, suf_c) + _reference_combine(C, pre_c))
+    Q -= c * WZ
     return Q
 
 
+def reference_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
+    """The boundary defect rate ``-(m+1) * flux_m``, ``flux = c * (A + G)`` from
+    the allocating sums: ``tied_sums`` when the plan is tied, else the factor
+    sums of ``reference_rhs_vector``."""
+    groups = plan_kinds(dk)[0]   # A + G's; none when K = C = 0, whose sum is zero
+    if not groups:
+        AG = np.zeros_like(c)
+    elif groups[0][0] == "row":
+        AG = tied_sums(c, dk)[0]
+    else:
+        AG = _reference_factor_sums(c, dk)[0]
+    return float(-(c.size + 1) * (c * AG)[-1])
+
+
 def reference_mass_defect_rate(c: np.ndarray, dk: DiscreteKernel) -> float:
-    """The boundary defect rate read off the last entries of full factor sums."""
+    """The boundary defect rate as the column-total formula
+    ``-(m+1) c_m A_m - m (m+1) Cd[m,m] c_m^2``, read off the last entries of
+    full factor sums."""
     m = c.size
     jc = np.arange(1, m + 1, dtype=float) * c
     col_jc = {key: float(np.sum(jc if b is None else b * jc)) for key, b in dk.columns.items()}
@@ -328,7 +357,7 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 def reference_integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
                         snapshot_times) -> tuple[list[DiscreteState], StepStats]:
     """``integrate`` with a separate candidate sum ``y + h * (_B5 @ k)`` and six
-    ``reference_mass_defect_rate`` calls per accepted step (stage states 0..5)."""
+    ``reference_defect_rate`` calls per accepted step (stage states 0..5)."""
     times = [float(t) for t in snapshot_times]
     stats = StepStats()
     snapshots: list[DiscreteState] = []
@@ -343,8 +372,8 @@ def reference_integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: Integrat
         return snapshots, stats
 
     span = queue[-1] - t
-    h_max = span / 10.0
-    h = 1e-4 * span
+    floor = 1e-14 * max(1.0, abs(t))   # the underflow floor; a span below 1e-10 starts at it
+    h_max, h = max(span / 10.0, floor), max(1e-4 * span, floor)
 
     k = np.empty((7, y.size))
     stages = np.empty((6, y.size))
@@ -378,7 +407,7 @@ def reference_integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: Integrat
 
         if err_norm <= 1.0:
             stats.accepted += 1
-            defect_stages = [reference_mass_defect_rate(ys, dk) for ys in (y, *stages[:5])]
+            defect_stages = [reference_defect_rate(ys, dk) for ys in (y, *stages[:5])]
             defect_int += h * float(_B5[:6] @ np.array(defect_stages))
 
             t = t + h

@@ -6,6 +6,7 @@ from dcasim.exact import ExactCase, initial_profile
 from dcasim.grid import build_grid
 from dcasim.integrator import IntegrationError, IntegratorConfig, integrate
 from dcasim.kernels import FAMILIES, KernelSpec, discretize
+from dcasim.runs import RunConfig, run_simulation
 from dcasim.state import DiscreteState, moment, project_initial
 
 from oracle import reference_integrate, rk4_reference, small_grid
@@ -125,6 +126,15 @@ def test_step_size_underflow_raises():
     st0 = DiscreteState(grid, np.ones(4))
     with pytest.raises(IntegrationError, match="step size underflow at t=1.0"):
         integrate(st0, dk, IntegratorConfig(), [1.0, np.nextafter(1.0, 2.0)])
+
+
+@pytest.mark.parametrize("times", [[1e-11], [0.0, 1e-12]], ids=["1e-11", "0-1e-12"])
+def test_first_snapshot_close_to_start_is_reached(times):
+    # the first step's guess 1e-4 * span would fall below the step floor 1e-14,
+    # though the gap to the target does not
+    run = run_simulation(RunConfig(case="case1", epsilon=0.05, snapshot_times=times))
+    assert [s.t for s in run.snapshots] == times
+    assert run.stats.accepted > 0 and run.stats.rejected == 0
 
 
 def test_stats_metadata_keys():
