@@ -55,10 +55,13 @@ def _bisect(diff, lo: np.ndarray, hi: np.ndarray, side: np.ndarray) -> np.ndarra
 
     ``side`` is the sign of ``diff`` at ``lo``.  Each result is the last point
     found with that sign (not the midpoint of the final bracket), so a jump at
-    a bracket's left end returns that end exactly.
+    a bracket's left end returns that end exactly.  Refinement stops at
+    ``_ROOT_TOL`` or when no bracket can be halved, whichever comes first.
     """
     while lo.size and np.max(hi - lo) > _ROOT_TOL:
         mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):   # past 2**19 a float step exceeds _ROOT_TOL
+            break
         same = np.sign(diff(mid)) == side
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
@@ -69,10 +72,9 @@ def rel_l1_error(state: DiscreteState, case: ExactCase) -> ErrorReport:
     """Relative L1 distance between a state and the reference solution at ``state.t``.
 
     Both norms are taken over [0, x_max]; the state's step function is zero
-    on the dust region and beyond the last cell, and those stretches
+    on the dust cell and on the tail beyond the last cell, and those pieces
     contribute to the numerator.  The step function's pieces lie between
-    consecutive points of one sorted cut list: 0, the cell edges, x_max (or
-    the last cell's right edge, if that lies beyond it) and the reference
+    consecutive points of ``grid.cuts()`` merged with the reference
     solution's breakpoints.  The numerator's sub-pieces lie between the cuts
     merged with the sign changes of the difference found between
     ``_PROBES + 1`` equispaced probes per piece, so each Simpson piece
@@ -84,8 +86,8 @@ def rel_l1_error(state: DiscreteState, case: ExactCase) -> ErrorReport:
     t = state.t
     f = lambda x: exact_solution(case, t, x)
     grid = state.grid
-    end = max(grid.upper, grid.x_max)
-    edges = np.concatenate(([0.0], grid.left_edges(), [grid.upper, end]))
+    edges = grid.cuts()
+    end = edges[-1]
     step = np.concatenate(([0.0], state.c, [0.0]))     # dust cell, m cells, tail
     value = lambda x: step[np.searchsorted(edges, x, side="right") - 1]
     breaks = np.asarray(breakpoints(case, t))

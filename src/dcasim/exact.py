@@ -16,6 +16,7 @@ case3: pure forward aggregation (C = 0, K = 1) started from the uniform
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class ExactCase:
                 object.__setattr__(self, name, default if v is None else finite_float(name, v))
             elif v is not None:
                 raise ValueError(f"{name} applies to case {owner!r} only, not {self.id!r}")
-        if self.M is not None and self.M <= 0:
-            raise ValueError("support length M must be positive")
+        if self.M is not None and not (self.M > 0 and math.isfinite(2.0 / self.M)):
+            raise ValueError(f"support length M must be positive, with 2/M finite; got {self.M!r}")
         if self.lam is not None and not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
 
@@ -86,11 +87,7 @@ def exact_solution(case: ExactCase, t: float, x):
         out = np.where(x / (1.0 + t) <= case.M, scale, 0.0)
     else:
         u = x - 2.0 * t
-        v = np.empty_like(u)        # a fresh buffer (u may be a scalar); the rest runs in place
-        np.clip(u, 0.0, None, out=v)
-        np.exp(np.negative(v, out=v), out=v)
-        np.divide(np.multiply(v, u, out=v), 1.0 + t, out=v)
-        out = np.where(u > 0.0, v, 0.0)
+        out = np.where(u > 0.0, u * np.exp(-np.clip(u, 0.0, None)) / (1.0 + t), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

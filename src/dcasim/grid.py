@@ -2,8 +2,9 @@
 
 Cell ``i`` (1-based) covers the half-open interval
 ``[(i - 1/2) * eps, (i + 1/2) * eps)`` so that its center sits at ``i * eps``.
-The region ``[0, eps/2)`` below the first cell carries no unknowns; sizes at or
-beyond ``(m + 1/2) * eps`` fall outside the truncated domain.
+The dust cell ``[0, eps/2)`` below the first cell carries no unknowns; sizes at
+or beyond ``(m + 1/2) * eps`` fall outside the truncated domain, in the tail up
+to ``x_max``.  ``Grid.cuts()`` lists all of these pieces' edges.
 """
 
 from __future__ import annotations
@@ -22,25 +23,18 @@ class Grid:
     x_max: float
     m: int
 
-    @property
-    def lower(self) -> float:
-        """Left edge of the first cell."""
-        return 0.5 * self.epsilon
-
-    @property
-    def upper(self) -> float:
-        """Right edge of the last cell."""
-        return (self.m + 0.5) * self.epsilon
-
     def centers(self) -> np.ndarray:
         """Cell centers ``eps * i`` for ``i = 1..m``."""
         return self.epsilon * np.arange(1, self.m + 1, dtype=float)
 
-    def left_edges(self) -> np.ndarray:
-        return self.epsilon * (np.arange(1, self.m + 1, dtype=float) - 0.5)
+    def cuts(self) -> np.ndarray:
+        """The m + 3 cuts ``0, eps/2, 3 eps/2, ..., (m + 1/2) eps, max((m + 1/2) eps, x_max)``.
 
-    def right_edges(self) -> np.ndarray:
-        return self.epsilon * (np.arange(1, self.m + 1, dtype=float) + 0.5)
+        Their m + 2 pieces are the dust cell, the m cells and the tail, which is
+        empty when ``x_max`` does not pass the last cell's right edge.
+        """
+        edges = self.epsilon * (np.arange(self.m + 1, dtype=float) + 0.5)
+        return np.concatenate(([0.0], edges, [max(edges[-1], self.x_max)]))
 
 
 # Largest cell count a grid may have: one state vector is then 80 MB.

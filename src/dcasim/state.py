@@ -22,8 +22,9 @@ class AprioriBoundError(RuntimeError):
 class DiscreteState:
     """Per-cell concentrations ``c_i`` at time ``t`` (``c_0 = 0`` implicitly).
 
-    As a density it is the step function of the convergence proof: ``c_i`` on
-    cell i, zero on the dust cell [0, eps/2) and beyond the last cell.
+    As a density it is the step function of the convergence proof on the
+    pieces of ``grid.cuts()``: zero on the dust cell [0, eps/2), ``c_i`` on
+    cell i, and zero on the tail beyond the last cell.
     """
 
     grid: Grid
@@ -65,7 +66,7 @@ class ProjectionLoss:
     """Initial mass not representable on the grid (number-density integrals)."""
 
     dust: float   # integral of f_in over [0, eps/2)
-    tail: float   # integral of f_in beyond the last cell, up to x_max
+    tail: float   # integral of f_in beyond the last cell, up to x_max (0.0 if none)
 
 
 def _simpson_nodes_weights(panels: int):
@@ -96,15 +97,12 @@ def project_initial(f_in, grid: Grid):
     tail mass dropped by the projection so conservation accounting stays
     closed.
     """
-    left = grid.left_edges()
-    right = grid.right_edges()
+    x = grid.cuts()
     panels = _PROJECTION_PANELS
-    c = _integrate_cells(f_in, left, right, panels) / grid.epsilon
-    dust = float(_integrate_cells(f_in, np.array([0.0]), np.array([grid.lower]), panels)[0])
-    tail = 0.0
-    if grid.x_max > grid.upper:
-        tail = float(_integrate_cells(f_in, np.array([grid.upper]),
-                                      np.array([grid.x_max]), panels)[0])
+    # separate calls: one call over all m + 2 pieces rounds some c_i and the dust differently
+    c = _integrate_cells(f_in, x[1:-2], x[2:-1], panels) / grid.epsilon
+    dust = float(_integrate_cells(f_in, x[:1], x[1:2], panels)[0])
+    tail = float(_integrate_cells(f_in, x[-2:-1], x[-1:], panels)[0])   # 0.0 when empty
     return DiscreteState(grid, c, t=0.0), ProjectionLoss(dust=dust, tail=tail)
 
 

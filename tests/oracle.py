@@ -484,7 +484,7 @@ def step_value(state: DiscreteState, x):
         raise ValueError("negative size")
     grid = state.grid
     idx = np.floor(x / grid.epsilon + 0.5).astype(int)
-    inside = (x >= grid.lower) & (x < grid.upper)
+    inside = (x >= 0.5 * grid.epsilon) & (x < (grid.m + 0.5) * grid.epsilon)
     idx = np.clip(idx, 1, grid.m)
     out = np.where(inside, state.c[idx - 1], 0.0)
     return float(out) if out.ndim == 0 else out
@@ -498,11 +498,11 @@ def scalar_rel_l1_error(state: DiscreteState, case: ExactCase,
     f_ex = lambda xs: exact_solution(case, t, xs)
     hard = breakpoints(case, t)
 
-    segments = [(0.0, grid.lower, 0.0)]
-    segments += [(float(a), float(b), float(v)) for a, b, v
-                 in zip(grid.left_edges(), grid.right_edges(), state.c)]
-    if grid.x_max > grid.upper:
-        segments.append((grid.upper, grid.x_max, 0.0))
+    eps, upper = grid.epsilon, (grid.m + 0.5) * grid.epsilon   # not grid.cuts(), which it checks
+    segments = [(0.0, 0.5 * eps, 0.0)]
+    segments += [(eps * (i - 0.5), eps * (i + 0.5), float(v)) for i, v in enumerate(state.c, 1)]
+    if grid.x_max > upper:
+        segments.append((upper, grid.x_max, 0.0))
 
     numerator = 0.0
     denominator = 0.0

@@ -8,7 +8,7 @@ import pytest
 import dcasim.analysis
 from dcasim.analysis import estimate_order, moment_diagnostics, rel_l1_error
 from dcasim.exact import ExactCase, exact_solution
-from dcasim.grid import build_grid
+from dcasim.grid import Grid, build_grid
 from dcasim.kernels import KernelSpec
 from dcasim.runs import RunConfig, run_simulation
 from dcasim.state import DiscreteState, MomentSeries, project_initial
@@ -57,6 +57,20 @@ def test_error_handles_discontinuous_reference():
     # one quadrature node lands exactly on the jump, worth O(eps/panels)
     assert rep.denominator == pytest.approx(2.0, rel=1e-3)
     assert rep.E1 < 2.0 * g.epsilon
+
+
+def test_error_root_far_out_ends_at_one_float_step():
+    # case 3 with the jump at x = 6e5, the centre of the half-full last cell:
+    # the bisection's bracket closes on the jump, where one float step (1.2e-10)
+    # is wider than _ROOT_TOL, so it must stop when no bracket can be halved.
+    # The same state scaled down by 1e5 has the same E1.
+    def error(M, grid):
+        h = 2.0 / M
+        state = DiscreteState(grid, np.array([h] * 5 + [h / 2]), 0.0)
+        return rel_l1_error(state, ExactCase("case3", M=M)).E1
+
+    assert error(6e5, Grid(1e5, 7e5, 6)) == pytest.approx(error(6.0, Grid(1.0, 7.0, 6)),
+                                                          rel=1e-12)
 
 
 def _assert_matches_oracle(state, case):

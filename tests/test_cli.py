@@ -431,6 +431,8 @@ INVALID_SETTINGS = [
     ("simulate", {"negativity_policy": "bogus"}, "policy=bogus"),
     ("simulate", {"x_max": 0.2, "epsilon": 0.1}, "x_max=0.2"),
     ("simulate", {"case": "case3", "M": -1}, "case3-M=-1"),
+    ("simulate", {"case": "case3", "M": 1e-310}, "case3-M=1e-310"),
+    ("sweep", {"case": "case3", "M": 1e-310}, "case3-M=1e-310"),
     ("simulate", {"case": "case2", "lam": 3}, "case2-lam=3"),
     ("simulate", {"case": "foo"}, "case=foo"),
     ("sweep", {"rtol": "abc"}, "rtol=abc"),

@@ -33,7 +33,7 @@ POOLS = {
     "snapshot_times": ([[0.01], [0.0], [0.02, 0.01], [0.05], [0.01, 0.01], [1e-300]],
                        [[0.01, 0.0100000001], [], [-0.01], [NAN], [INF], ["a"], [True],
                         [None], [[0.01]], 0.01, "0.01", *JUNK]),
-    "M": ([3.0, 5.0, 0.5, 1e-300, 1e300], [0.0, -1.0, *JUNK]),
+    "M": ([3.0, 5.0, 0.5, 1e-300, 1e300], [0.0, -1.0, 1e-310, *JUNK]),
     "lam": ([0.0, 0.5, 1.0, 1e-300], [1.5, -0.1, *JUNK]),
     "kernel": ([{}, {"K": "constant"}, {"K": "product", "C": "product"},
                 {"K": "sum", "L": 0.5}, {"K": "product", "C": "constant", "C_value": 0.5},

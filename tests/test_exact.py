@@ -12,6 +12,8 @@ def test_case_validation():
         ExactCase("case4")
     with pytest.raises(ValueError):
         ExactCase("case3", M=0.0)
+    with pytest.raises(ValueError, match="2/M finite"):    # the height 2/M overflows
+        ExactCase("case3", M=1e-310)
     with pytest.raises(ValueError):
         ExactCase("case2", lam=1.5)
 

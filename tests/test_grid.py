@@ -70,11 +70,22 @@ def test_largest_grid_is_accepted():
 
 
 def test_edges_and_centers():
-    g = build_grid(0.1, 1.0)
-    assert g.lower == pytest.approx(0.05)
-    assert g.upper == pytest.approx((g.m + 0.5) * 0.1)
-    np.testing.assert_allclose(g.centers(), 0.1 * np.arange(1, g.m + 1))
-    np.testing.assert_allclose(g.right_edges() - g.left_edges(), 0.1)
+    # a tail, none (x_max on the last edge), none (the last edge one ulp past
+    # x_max), and a wide tail
+    for epsilon, x_max in [(0.1, 1.0), (0.05, 10.025), (0.05, 9.975), (0.3, 10.0)]:
+        g = build_grid(epsilon, x_max)
+        np.testing.assert_allclose(g.centers(), epsilon * np.arange(1, g.m + 1))
+        cuts = g.cuts()
+        assert cuts.shape == (g.m + 3,)
+        assert cuts[0] == 0.0
+        assert cuts[1] == pytest.approx(0.5 * epsilon)
+        np.testing.assert_allclose(np.diff(cuts[1:-1]), epsilon)
+        assert cuts[-2] == pytest.approx((g.m + 0.5) * epsilon)
+        assert cuts[-1] == max(cuts[-2], x_max)
+        # the cell edges carry the bits of eps * (i -+ 1/2), i = 1..m
+        i = np.arange(1, g.m + 1, dtype=float)
+        np.testing.assert_array_equal(cuts[1:-2], epsilon * (i - 0.5))
+        np.testing.assert_array_equal(cuts[2:-1], epsilon * (i + 0.5))
 
 
 def test_grid_is_immutable():

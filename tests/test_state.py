@@ -81,6 +81,19 @@ def test_projection_loss_accounts_dust_and_tail():
     assert total == pytest.approx(direct, rel=1e-9)
 
 
+@pytest.mark.parametrize("x_max", [10.025, 10.025 - 1e-12])
+def test_projection_without_tail_loses_none_there(x_max):
+    # x_max on the last cell's right edge, and just short of it: the tail is
+    # empty and integrates to 0.0, and dust + cells still recompose the integral
+    g = build_grid(0.05, x_max)
+    assert g.cuts()[-1] == g.cuts()[-2]
+    st, loss = project_initial(_exp_profile, g)
+    assert loss.tail == 0.0
+    total = loss.dust + float(np.sum(st.c)) * g.epsilon + loss.tail
+    direct = 1.0 - (1.0 + x_max) * np.exp(-x_max)  # int_0^x_max x e^{-x} dx
+    assert total == pytest.approx(direct, rel=1e-9)
+
+
 def test_projection_is_linear():
     g = build_grid(0.1, 5.0)
     f1 = _exp_profile

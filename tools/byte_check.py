@@ -33,6 +33,8 @@ RUNS = {
     "simulate-fine": (["simulate", "--case", "case1", "--epsilon", "0.002"], None),
     "case2-lam0.5": (["simulate", "--case", "case2", "--lambda", "0.5", "--epsilon", "0.02"],
                      None),
+    # x_max on the last cell's right edge: the projection's tail is empty
+    "case1-no-tail": (["simulate", "--case", "case1", "--epsilon", "0.05"], "x_max: 10.025\n"),
     # each family as K and as C, tied (K = C) and untied
     "kernel-constant-tied": (["simulate"], _KERNEL % "K: constant, C: constant"),
     "kernel-product-tied": (["simulate"], _KERNEL % "K: product, C: product"),
