@@ -96,8 +96,6 @@ def _load_config(args) -> RunConfig:
             if extra:
                 raise ValueError(f"unknown keys {', '.join(sorted(map(str, extra)))}")
             given = {_KERNEL_KEYS[key]: value for key, value in kb.items()}
-            if "declared_bounds" in given:   # null reads as no bounds
-                given["declared_bounds"] = dict(given["declared_bounds"] or {})
             fields["kernel"] = KernelSpec(**given)
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"config key 'kernel': {exc}") from exc

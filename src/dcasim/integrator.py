@@ -65,20 +65,14 @@ class IntegratorConfig:
 
 @dataclass
 class StepStats:
+    """What one integration did; a run's header reports every scalar field."""
+
     accepted: int = 0
     rejected: int = 0
     rhs_evals: int = 0
     clamped_mass: float = 0.0
     #: running integral of the boundary defect rate, one value per snapshot
     defect_integrals: list = field(default_factory=list)
-
-    def metadata(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "rhs_evals": self.rhs_evals,
-            "clamped_mass": self.clamped_mass,
-        }
 
 
 def _error_norm(err, y_old, y_new, rtol, atol, scale, work):

@@ -11,6 +11,7 @@ and the growth conditions CH1 and CH2 are facts of (family, value) that
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -44,7 +45,8 @@ class KernelSpec:
     """Closed-form kernel pair: K is ``family_K`` scaled by ``K_value``, C is
     ``family_C`` scaled by ``C_value``; both values must be nonnegative.
 
-    ``declared_bounds`` carries optional nonnegative growth constants, by key:
+    ``declared_bounds`` carries optional nonnegative growth constants, a
+    mapping by key (``None`` reads as none):
 
     - ``M_cal``: uniform bound on C, condition CH2 (``probe_hypotheses``),
     - ``A1``, ``A2``: product-growth constants K <= A1*x*y, C <= A2*x*y
@@ -58,17 +60,20 @@ class KernelSpec:
     K_value: float = 1.0
     family_C: str = "constant"
     C_value: float = 1.0
-    declared_bounds: dict = field(default_factory=dict)
+    declared_bounds: dict | None = field(default_factory=dict)
 
     def __post_init__(self):
         for family in (self.family_K, self.family_C):
             if family not in FAMILIES:
                 raise ValueError(f"unknown kernel family {family!r}")
-        unknown = set(self.declared_bounds) - set(BOUND_KEYS)
+        bounds = {} if self.declared_bounds is None else self.declared_bounds
+        if not isinstance(bounds, Mapping):
+            raise ValueError(f"declared_bounds must be a mapping, got {bounds!r}")
+        unknown = set(bounds) - set(BOUND_KEYS)
         if unknown:
             raise ValueError(f"unknown declared bounds {', '.join(sorted(map(str, unknown)))}; "
                              f"known: {', '.join(BOUND_KEYS)}")
-        values = dict(K_value=self.K_value, C_value=self.C_value, **self.declared_bounds)
+        values = dict(K_value=self.K_value, C_value=self.C_value, **bounds)
         for name, value in values.items():   # bounds on nonnegative kernels, so nonnegative too
             values[name] = finite_float(name, value)
             if values[name] < 0.0:

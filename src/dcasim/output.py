@@ -23,9 +23,9 @@ def _write_csv(path: str, metadata: dict, header: str, lines, notes=()):
 
 def write_snapshot_csv(path: str, state: DiscreteState, metadata: dict):
     """One row per cell: center, concentration ``c_i``, step-function density (also ``c_i``)."""
-    values = map(repr, map(float, state.c))
+    values = map(repr, state.c.tolist())   # Python floats, one call: float(c_i)'s repr
     _write_csv(path, {"t": state.t, **metadata}, "x_center,c_i,f_eps",
-               (f"{float(x)!r},{v},{v}\n" for x, v in zip(state.grid.centers(), values)))
+               (f"{x!r},{v},{v}\n" for x, v in zip(state.grid.centers().tolist(), values)))
 
 
 def write_moments_csv(path: str, series: MomentSeries, metadata: dict):

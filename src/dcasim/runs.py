@@ -112,7 +112,8 @@ class SimulationRun:
             "projection_tail": self.projection_loss.tail,
             "hypotheses": "verified" if probe.ch1_pass and probe.ch2_pass
                           else "hypotheses-unverified",
-            **self.stats.metadata(),
+            **{f.name: getattr(self.stats, f.name) for f in fields(self.stats)
+               if f.name != "defect_integrals"},
         })
         return md
 

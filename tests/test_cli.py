@@ -14,10 +14,10 @@ import dcasim.runs
 from dcasim.cli import EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK, EXIT_VALIDATION, main
 from dcasim.integrator import IntegrationError
 from dcasim.kernels import KernelSpec
-from dcasim.output import snapshot_filename
-from dcasim.state import AprioriBoundError
+from dcasim.output import snapshot_filename, write_snapshot_csv
+from dcasim.state import AprioriBoundError, DiscreteState
 
-from oracle import body_of
+from oracle import body_of, small_grid
 
 FAST_YAML = {
     "case": "case1",
@@ -61,6 +61,16 @@ def test_snapshot_csv_schema(tmp_path):
     first = body[1].split(",")
     assert float(first[0]) == pytest.approx(0.2)    # first cell center
     assert float(first[1]) == float(first[2])       # density equals c_i
+
+
+def test_snapshot_rows_are_float_reprs(tmp_path):
+    values = [-0.0, 5e-324, 1e-310, 0.1, 1 / 3, 1.7976931348623157e308]
+    grid = small_grid(0.1, len(values))
+    state = DiscreteState(grid, np.array(values), 1.0)
+    path = str(tmp_path / "snapshot.csv")
+    write_snapshot_csv(path, state, {})
+    assert body_of(path).splitlines()[1:] == [
+        f"{float(x)!r},{float(v)!r},{float(v)!r}" for x, v in zip(grid.centers(), state.c)]
 
 
 def test_moments_csv_schema(tmp_path):
@@ -176,6 +186,17 @@ def test_kernel_block_defaults_are_kernel_spec_defaults(tmp_path, block):
 def test_kernel_block_key_sets_only_its_field(tmp_path, key, field, value):
     expected = dataclasses.replace(KernelSpec(), **{field: value})
     assert _loaded_kernel(tmp_path, {key: value}) == expected
+
+
+@pytest.mark.parametrize("bounds", ["M_cal", [1, 2]], ids=["string", "list"])
+def test_declared_bounds_not_a_mapping_is_config_error(tmp_path, capsys, bounds):
+    cfg = _write_config(tmp_path, {**FAST_YAML, "kernel": {"declared_bounds": bounds}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"declared_bounds must be a mapping, got {bounds!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bad_epsilon_is_config_error(tmp_path):

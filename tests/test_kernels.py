@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -104,10 +105,22 @@ def test_lambda_out_of_range_rejected():
     {"C_value": "2"}, {"declared_bounds": {"M_cal": float("nan")}},
     {"declared_bounds": {"alpha": 1.0}}, {"declared_bounds": {"K2": 1.0}},
     {"K_value": -1.0}, {"C_value": -0.5}, {"K_value": -1e-300},
-    {"declared_bounds": {"M_cal": -1.0}}, {"declared_bounds": {"A1": -1e-300}}])
+    {"declared_bounds": {"M_cal": -1.0}}, {"declared_bounds": {"A1": -1e-300}},
+    {"declared_bounds": "M_cal"}, {"declared_bounds": [1, 2]}])
 def test_kernel_settings_rejected(bad):
     with pytest.raises(ValueError):
         KernelSpec(**bad)
+
+
+@pytest.mark.parametrize("bounds", ["M_cal", [1, 2]], ids=["string", "list"])
+def test_declared_bounds_must_be_a_mapping(bounds):
+    with pytest.raises(ValueError, match=re.escape(f"declared_bounds must be a mapping, "
+                                                   f"got {bounds!r}")):
+        KernelSpec(declared_bounds=bounds)
+
+
+def test_null_declared_bounds_are_none():
+    assert KernelSpec(declared_bounds=None) == KernelSpec()
 
 
 def test_negative_zero_values_are_zero():

@@ -42,6 +42,8 @@ RUNS = {
     "kernel-constant-product": (["simulate"], _KERNEL % "K: constant, C: product, C_value: 0.5"),
     "kernel-product-sum": (["simulate"], _KERNEL % "K: product, C: sum, C_value: 0.5"),
     "kernel-sum-constant": (["simulate"], _KERNEL % "K: sum, C: constant, C_value: 0.5"),
+    # a null bound set reads as none
+    "kernel-bounds-null": (["simulate"], _KERNEL % "declared_bounds: null"),
     # K = C = xy gels on case 3's profile; past it a step goes negative and is clamped
     "case3-product-clamps": (["simulate"], "case: case3\n" + _KERNEL % "K: product, C: product"),
     "validate-product-constant": (["validate"], "kernel: {K: product, C: constant}\n"),
