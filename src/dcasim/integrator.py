@@ -10,9 +10,14 @@ RHS, is the last stage's of the step before (FSAL) unless that step clamped.
 
 The last row of the tableau is the fifth-order weights (``b7 = 0``), so the
 sixth stage state is the candidate ``y + h * sum_s b_s k_s`` itself: the step
-keeps it instead of forming that sum again.  The loop's rounding is that of
-the form with a separate seven-term weight vector and one defect-rate call per
-stage, kept in ``tests/oracle.py``.
+keeps it instead of forming that sum again.  Beside the stage derivatives
+``k`` and the state ``y`` the loop keeps four state-sized vectors: ``stage``
+holds stage states 1 to 5 in turn and then serves as the error norm's work
+vector, ``cand`` holds the sixth (the candidate), and ``err`` and ``scale``
+hold the error estimate and its scale.  An accepted step swaps ``y`` with
+``cand`` and clamps its negative entries to +0.0 in place.  The loop's
+rounding is that of the form with a separate seven-term weight vector and one
+defect-rate call per stage, kept in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import DiscreteKernel
+from .kernels import DiscreteKernel, finite_float
 from .rhs import rhs_vector
 from .state import DiscreteState
 
@@ -59,7 +64,7 @@ class IntegratorConfig:
     atol: float = 1e-10
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
+        if min(finite_float("rtol", self.rtol), finite_float("atol", self.atol)) <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -91,38 +96,39 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
               snapshot_times) -> tuple[list[DiscreteState], StepStats]:
     """Advance ``state0`` and return states at each snapshot time.
 
-    ``snapshot_times`` must be strictly increasing with the first entry at or
-    after ``state0.t``.  Raises ``IntegrationError`` on step-size underflow,
-    step-budget exhaustion or an error estimate that is not finite.  Negative
-    entries of an accepted step are clamped to zero and their mass recorded in
+    ``snapshot_times`` must be finite and strictly increasing with the first
+    entry at or after ``state0.t``, which must be finite too.  Raises
+    ``IntegrationError`` on step-size underflow, step-budget exhaustion or an
+    error estimate that is not finite.  Negative entries of an accepted step
+    are clamped to zero in place and their mass recorded in
     ``StepStats.clamped_mass``.
     """
-    queue = [float(t) for t in snapshot_times]
+    t = finite_float("initial time", state0.t)
+    queue = [finite_float("snapshot time", s) for s in snapshot_times]
     if any(b <= a for a, b in zip(queue, queue[1:])):
         raise ValueError("snapshot times must be strictly increasing")
-    if queue and queue[0] < state0.t:
+    if queue and queue[0] < t:
         raise ValueError("first snapshot time precedes the initial time")
 
     stats = StepStats()
     snapshots: list[DiscreteState] = []
-    t = float(state0.t)
     y = state0.c.copy()
     defect_int = 0.0
+    floor = 1e-14 * max(1.0, abs(t))   # the underflow floor; a span below 1e-10 starts at it
     # emit snapshots that coincide with the start time
-    while queue and abs(queue[0] - t) <= 1e-14 * max(1.0, abs(t)):
+    while queue and abs(queue[0] - t) <= floor:
         snapshots.append(DiscreteState(state0.grid, y.copy(), queue.pop(0)))
         stats.defect_integrals.append(defect_int)
     if not queue:
         return snapshots, stats
 
     span = queue[-1] - t
-    floor = 1e-14 * max(1.0, abs(t))   # the underflow floor; a span below 1e-10 starts at it
     h_max, h = max(span / 10.0, floor), max(1e-4 * span, floor)
 
     k = np.empty((7, y.size))
     d = np.empty(7)   # the defect rate D of each stage
-    stages = [np.empty_like(y) for _ in range(6)]   # stage states 1..6; the 6th is the candidate
-    inc, err, scale = (np.empty_like(y) for _ in range(3))
+    # stage states 1..5, then _error_norm's work vector; stage 6, the candidate
+    stage, cand, err, scale = (np.empty_like(y) for _ in range(4))
     rhs_vector(y, dk, out=k[0], defect=d[0:1])
     stats.rhs_evals += 1
     err_prev = 1.0
@@ -136,17 +142,18 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
             raise IntegrationError(f"step size underflow at t={t}")
 
         for s in range(1, 7):
+            x = cand if s == 6 else stage
             if s == 1:   # a one-term row: a product, not a matmul
-                np.multiply(k[0], _A_ROWS[1][0], out=inc)
+                np.multiply(k[0], _A_ROWS[1][0], out=x)
             else:
-                np.matmul(_A_ROWS[s], k[:s], out=inc)
-            inc *= h
-            np.add(y, inc, out=stages[s - 1])
-            rhs_vector(stages[s - 1], dk, out=k[s], defect=d[s:s + 1])
+                np.matmul(_A_ROWS[s], k[:s], out=x)
+            x *= h
+            x += y
+            rhs_vector(x, dk, out=k[s], defect=d[s:s + 1])
         stats.rhs_evals += 6
         np.matmul(_E, k, out=err)
         err *= h
-        err_norm = _error_norm(err, y, stages[5], cfg.rtol, cfg.atol, scale, inc)
+        err_norm = _error_norm(err, y, cand, cfg.rtol, cfg.atol, scale, stage)
         if not math.isfinite(err_norm):
             raise IntegrationError(f"error estimate is not finite at t={t} "
                                    f"(rtol={cfg.rtol}, atol={cfg.atol})")
@@ -157,9 +164,9 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
             defect_int += h * float(_A_ROWS[6] @ d[:6])
 
             t = t + h
-            # the old state's buffer takes the next step's sixth stage
-            y, stages[5] = stages[5], y
-            y, clamped = _clamp_negative(y, dk.index)
+            # the old state's buffer takes the next step's candidate
+            y, cand = cand, y
+            clamped = _clamp_negative(y, dk.index)
             stats.clamped_mass += clamped * state0.grid.epsilon ** 2
             if clamped == 0.0:
                 k[0] = k[6]
@@ -174,12 +181,9 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
                 stats.defect_integrals.append(defect_int)
                 queue.pop(0)
 
-            if err_norm == 0.0:
-                fac = _FAC_MAX
-            else:
-                fac = _SAFETY * err_norm ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-                fac = min(_FAC_MAX, max(_FAC_MIN, fac))
-            h = h * fac
+            # an error at or below 1e-300, zero too, gives fac >= 0.9 * 1e42 * 0.158: _FAC_MAX
+            fac = _SAFETY * max(err_norm, 1e-300) ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+            h = h * min(_FAC_MAX, max(_FAC_MIN, fac))
             err_prev = max(err_norm, 1e-10)
         else:
             stats.rejected += 1
@@ -190,9 +194,10 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
 
 
 def _clamp_negative(y, index):
+    """Write +0.0 into ``y``'s negative entries in place; return ``sum i * -y_i`` over them."""
     if float(y.min()) >= 0.0:
-        return y, 0.0
+        return 0.0
     neg = y < 0.0
     clamped = float(np.sum(index[neg] * (-y[neg])))
-    y = np.where(neg, 0.0, y)
-    return y, clamped
+    y[neg] = 0.0
+    return clamped

@@ -115,7 +115,7 @@ def _index_sum(state: DiscreteState, r: float) -> float:
 def moment(state: DiscreteState, r: float) -> float:
     """``eps^(r+1) * sum i^r c_i``, the moment of order ``r`` of the state's step
     function at cell centers."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError("moment order must be nonnegative")
     return state.grid.epsilon ** (r + 1) * _index_sum(state, r)
 

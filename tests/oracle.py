@@ -7,10 +7,11 @@ integrator.  Besides the package's types, its closed-form solutions and the
 ``rhs_vector`` that the reference integrators step with, the references
 share with the package what fixes its rounding, so that those which must
 equal it bit for bit pin that rounding: the integrator's tableau, its
-controller constants, ``_clamp_negative`` and ``_error_norm``, the kernels'
-factor table ``_FACTORS`` (read by ``factors``), and a ``DiscreteKernel``'s
-``columns``, ``sums`` and ``index``.  The two RHS evaluations the
-package used before its separable-factor path are kept as references too:
+controller constants, ``_clamp_negative`` (which clamps in place) and
+``_error_norm``, the kernels' factor table ``_FACTORS`` (read by ``factors``),
+and a ``DiscreteKernel``'s ``columns``, ``sums`` and ``index``.  The two RHS
+evaluations the package used before its separable-factor path are kept as
+references too:
 the O(m^2) row-cumulative sums over the dense matrices, and the O(m)
 prefix-sum formula for constant kernels.  The allocating separable-factor RHS
 that the package ran before its buffer-reusing one is kept too, and so is the
@@ -412,7 +413,7 @@ def reference_integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: Integrat
 
             t = t + h
             y, y_new = y_new, y
-            y, clamped = _clamp_negative(y, dk.index)
+            clamped = _clamp_negative(y, dk.index)
             stats.clamped_mass += clamped * state0.grid.epsilon ** 2
             if clamped == 0.0:
                 k[0] = k[6]

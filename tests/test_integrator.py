@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import dcasim.integrator
 from dcasim.exact import ExactCase, initial_profile
 from dcasim.grid import build_grid
-from dcasim.integrator import IntegrationError, IntegratorConfig, integrate
+from dcasim.integrator import IntegrationError, IntegratorConfig, _clamp_negative, integrate
 from dcasim.kernels import FAMILIES, KernelSpec, discretize
 from dcasim.runs import RunConfig, run_simulation
 from dcasim.state import DiscreteState, moment, project_initial
@@ -22,6 +24,42 @@ def _setup(epsilon=0.1, m=None, x_max=10.0):
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(rtol=0.0)
+
+
+@pytest.mark.parametrize("name", ["rtol", "atol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1e-6"],
+                         ids=["nan", "inf", "bool", "str"])
+def test_config_rejects_non_finite_tolerance(name, value):
+    # as RunConfig does, before a run would fail on its error estimate
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        IntegratorConfig(**{name: value})
+
+
+@pytest.mark.parametrize("t0, times", [(0.0, [float("nan")]), (0.0, [float("inf")]),
+                                       (0.0, [0.5, float("nan")]), (float("nan"), [1.0]),
+                                       (-float("inf"), [1.0])],
+                         ids=["nan", "inf", "second-nan", "t0-nan", "t0-minus-inf"])
+def test_non_finite_time_rejected(t0, times):
+    grid, dk = _setup(m=4)
+    with pytest.raises(ValueError, match="must be a finite number"):
+        integrate(DiscreteState(grid, np.ones(4), t0), dk, IntegratorConfig(), times)
+
+
+def test_clamp_negative_writes_positive_zero_in_place():
+    y = np.array([0.5, -1e-3, -0.0, 2.0, -5e-324])
+    before = y.copy()
+    expected = math.fsum(i * -v for i, v in enumerate(before, 1) if v < 0)
+    assert _clamp_negative(y, np.arange(1.0, 6.0)) == expected
+    assert [math.copysign(1.0, v) for v in y[[1, 2, 4]]] == [1.0, -1.0, 1.0]
+    assert y[1] == y[4] == 0.0
+    assert y[[0, 2, 3]].tobytes() == before[[0, 2, 3]].tobytes()
+
+
+def test_clamp_negative_leaves_nonnegative_state():
+    y = np.array([0.0, -0.0, 1e-300, 3.0])
+    before = y.tobytes()
+    assert _clamp_negative(y, np.arange(1.0, 5.0)) == 0.0
+    assert y.tobytes() == before
 
 
 def test_zero_state_stays_zero():
@@ -178,3 +216,16 @@ def test_integrate_bitwise_matches_reference_loop(run):
     assert [s.t for s in snaps] == [s.t for s in ref_snaps] == list(times)
     for s, r in zip(snaps, ref_snaps):
         assert s.c.tobytes() == r.c.tobytes()
+
+
+def test_in_place_clamp_leaves_caller_arrays_alone():
+    case, spec, eps, cfg, times, _ = _LOOP_RUNS["product-tied-clamps"]
+    grid = build_grid(eps, 10.0)
+    st0, _ = project_initial(initial_profile(case), grid)
+    before = st0.c.tobytes()
+    snaps, stats = integrate(st0, discretize(spec, grid), cfg, times)
+    assert stats.clamped_mass > 0.0
+    assert st0.c.tobytes() == before
+    arrays = [st0.c, *(s.c for s in snaps)]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])

@@ -172,6 +172,12 @@ def test_moment_rejects_negative_order():
         moment(st, -1)
 
 
+def test_moment_rejects_nan_order():
+    st = DiscreteState(small_grid(0.1, 3), np.ones(3))
+    with pytest.raises(ValueError, match="moment order"):
+        moment(st, float("nan"))
+
+
 def test_weighted_initial_norm():
     # int_0^10 (1 + x) x e^{-x} dx, against the closed form
     val = weighted_initial_norm(_exp_profile, 10.0)
