@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import ExactCase, breakpoints, exact_solution, has_closed_form
+from .grid import finite_float
 from .kernels import KernelSpec
 from .state import DiscreteState, MomentSeries, _integrate_cells
 
@@ -112,12 +113,16 @@ def rel_l1_error(state: DiscreteState, case: ExactCase) -> ErrorReport:
 
 
 def estimate_order(rows) -> float:
-    """Least-squares slope of log(error) against log(epsilon) over ``(epsilon, E1)`` rows."""
+    """Least-squares slope of log(error) against log(epsilon) over ``(epsilon, E1)`` rows.
+
+    Both numbers of every row are read by ``grid.finite_float`` (ValueError
+    unless finite and real, not a bool); rows with ``E1 <= 0`` are left out.
+    """
+    rows = [(finite_float("epsilon", e), finite_float("E1", err)) for e, err in rows]
     rows = [(e, err) for e, err in rows if err > 0.0]
     if len(rows) < 2:
         raise ValueError("need at least 2 rows with positive error")
-    eps = np.log([r[0] for r in rows])
-    err = np.log([r[1] for r in rows])
+    eps, err = np.log(rows).T
     return float(np.polyfit(eps, err, 1)[0])
 
 
@@ -129,8 +134,10 @@ def moment_diagnostics(series: MomentSeries, spec: KernelSpec, epsilon: float,
     mass M1 up to the integrated boundary defect; and the second-moment Riccati
     bound when product-growth constants A1/A2 are declared.  The truncated
     system shows the untruncated one's mass loss as boundary-defect outflow,
-    which the M1 check accounts for.
+    which the M1 check accounts for.  ``epsilon`` and ``rtol`` are read by
+    ``grid.finite_float`` (ValueError unless finite and real, not a bool).
     """
+    epsilon, rtol = finite_float("epsilon", epsilon), finite_float("rtol", rtol)
     if not series.times:
         raise ValueError("empty moment series")
     times, M0, M1, M2, defect = map(np.asarray, (series.times, series.M0, series.M1,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, finite_float
+from .grid import finite_float
+from .kernels import KernelSpec
 
 CASE_IDS = ("case1", "case2", "case3")
 # parameter -> (the case that reads it, its default there)
@@ -74,14 +75,18 @@ def exact_solution(case: ExactCase, t: float, x):
     distance 2t (the conserved mass integral of x*exp(-x) is 2, and the
     transport velocity equals that mass); extension by zero is used behind
     the wave.
+
+    ValueError unless ``t`` is a finite real number (``grid.finite_float``: not
+    a bool) and nonnegative, or, with a closed form, unless every size ``x`` is
+    nonnegative (a NaN size is not).
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    if (t := finite_float("t", t)) < 0.0:
+        raise ValueError("t must be nonnegative")
     if not has_closed_form(case):
         return None
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("size must be nonnegative")
+    if not np.all(x >= 0.0):
+        raise ValueError("sizes x must be nonnegative")
     if case.id == "case3":
         scale = 2.0 / (case.M * (1.0 + t) ** 2)
         out = np.where(x / (1.0 + t) <= case.M, scale, 0.0)

@@ -5,14 +5,26 @@ Cell ``i`` (1-based) covers the half-open interval
 The dust cell ``[0, eps/2)`` below the first cell carries no unknowns; sizes at
 or beyond ``(m + 1/2) * eps`` fall outside the truncated domain, in the tail up
 to ``x_max``.  ``Grid.cuts()`` lists all of these pieces' edges.
+
+``finite_float`` lives here, at the bottom of the import graph, so that every
+module reads the numbers it takes through the same rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
+
+
+def finite_float(name: str, value) -> float:
+    """``value`` as a float, -0.0 as 0.0; ValueError naming ``name`` unless it is
+    a finite real number (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value) + 0.0
 
 
 @dataclass(frozen=True)
@@ -44,13 +56,14 @@ _MAX_CELLS = 10**7
 def build_grid(epsilon: float, x_max: float) -> Grid:
     """Build the cell partition with ``m = floor(x_max/epsilon - 1/2)`` cells.
 
-    Raises ``ValueError`` if ``epsilon`` is outside ``(0, 1)``, ``x_max`` is not
-    finite, or ``m`` is below 3 or above ``_MAX_CELLS`` (10**7).
+    Raises ``ValueError`` if ``epsilon`` or ``x_max`` is not a finite real number
+    (``finite_float``: bools and strings are not, -0.0 reads as 0.0), ``epsilon``
+    is outside ``(0, 1)``, or ``m`` is below 3 or above ``_MAX_CELLS`` (10**7).
+    The grid holds both as Python floats.
     """
+    epsilon, x_max = finite_float("epsilon", epsilon), finite_float("x_max", x_max)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not math.isfinite(x_max):
-        raise ValueError(f"x_max must be a finite number, got {x_max!r}")
     # Nudge guards against ratios like 10/0.005 landing just below an integer.
     # The bounds are checked before the floor, which cannot take an infinite ratio.
     cells = x_max / epsilon - 0.5 + 1e-9

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import DiscreteKernel, finite_float
+from .grid import finite_float
+from .kernels import DiscreteKernel
 from .rhs import rhs_vector
 from .state import DiscreteState
 
@@ -96,14 +97,15 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
               snapshot_times) -> tuple[list[DiscreteState], StepStats]:
     """Advance ``state0`` and return states at each snapshot time.
 
-    ``snapshot_times`` must be finite and strictly increasing with the first
-    entry at or after ``state0.t``, which must be finite too.  Raises
-    ``IntegrationError`` on step-size underflow, step-budget exhaustion or an
-    error estimate that is not finite.  Negative entries of an accepted step
-    are clamped to zero in place and their mass recorded in
-    ``StepStats.clamped_mass``.
+    ``snapshot_times`` are read by ``grid.finite_float`` (ValueError unless each
+    is a finite real number, not a bool) and must be strictly increasing with
+    the first entry at or after ``state0.t``, which ``DiscreteState`` has read
+    the same way.  Raises ``IntegrationError`` on step-size underflow,
+    step-budget exhaustion or an error estimate that is not finite.  Negative
+    entries of an accepted step are clamped to zero in place and their mass
+    recorded in ``StepStats.clamped_mass``.
     """
-    t = finite_float("initial time", state0.t)
+    t = state0.t
     queue = [finite_float("snapshot time", s) for s in snapshot_times]
     if any(b <= a for a, b in zip(queue, queue[1:])):
         raise ValueError("snapshot times must be strictly increasing")

@@ -10,14 +10,12 @@ and the growth conditions CH1 and CH2 are facts of (family, value) that
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, finite_float
 
 # Separable form eps * K(x, y) = sum_r a_r(x) * b_r(y), b_r(y) being 1 (key "1")
 # or y (key "x"); each family maps (s, x), s = eps * value, to its pairs (a_r(x), key_r).
@@ -30,14 +28,6 @@ FAMILIES = tuple(_FACTORS)
 
 # Growth constants read by probe_hypotheses (M_cal) and moment_diagnostics (A1, A2).
 BOUND_KEYS = ("M_cal", "A1", "A2")
-
-
-def finite_float(name: str, value) -> float:
-    """``value`` as a float, -0.0 as 0.0; ValueError unless it is a finite real
-    number (bools excluded)."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value) + 0.0
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ import numpy as np
 
 from .analysis import rel_l1_error
 from .exact import ExactCase, initial_profile
-from .grid import build_grid
+from .grid import build_grid, finite_float
 from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate
-from .kernels import DiscreteKernel, KernelSpec, discretize, finite_float, probe_hypotheses
+from .kernels import DiscreteKernel, KernelSpec, discretize, probe_hypotheses
 from .output import snapshot_filename
 from .state import (AprioriBoundError, DiscreteState, MomentSeries,
                     ProjectionLoss, check_apriori_bounds, project_initial,
@@ -36,9 +36,8 @@ class RunConfig:
 
     def __post_init__(self):
         """Build what a run builds from these settings, so a bad one fails here."""
-        for name in ("epsilon", "x_max", "rtol", "atol"):
-            if getattr(self, name) is not None:
-                setattr(self, name, finite_float(name, getattr(self, name)))
+        for name in ("x_max", "rtol", "atol"):   # floats for the headers; build_grid reads epsilon
+            setattr(self, name, finite_float(name, getattr(self, name)))
         for name in ("epsilon_list", "snapshot_times"):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
@@ -120,9 +119,7 @@ class SimulationRun:
 
 def run_simulation(cfg: RunConfig) -> SimulationRun:
     """Project the initial data, integrate at ``cfg.epsilon``, and collect snapshots
-    and moments."""
-    if cfg.epsilon is None:
-        raise ValueError("no epsilon given")
+    and moments; ``build_grid`` rejects an unset ``cfg.epsilon``."""
     grid = build_grid(cfg.epsilon, cfg.x_max)
     dk = discretize(cfg.kernel_pair(), grid)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, finite_float
 
 #: Composite-Simpson panels per cell when projecting initial data, and over
 #: [0, x_max] for the weighted initial norm.
@@ -25,6 +25,9 @@ class DiscreteState:
     As a density it is the step function of the convergence proof on the
     pieces of ``grid.cuts()``: zero on the dust cell [0, eps/2), ``c_i`` on
     cell i, and zero on the tail beyond the last cell.
+
+    ``t`` is read by ``grid.finite_float``: ValueError unless it is a finite
+    real number (not a bool); it is held as a float, -0.0 as 0.0.
     """
 
     grid: Grid
@@ -32,6 +35,7 @@ class DiscreteState:
     t: float = 0.0
 
     def __post_init__(self):
+        self.t = finite_float("t", self.t)
         self.c = np.asarray(self.c, dtype=float)
         if self.c.shape != (self.grid.m,):
             raise ValueError(f"expected {self.grid.m} concentrations, got shape {self.c.shape}")
@@ -114,8 +118,12 @@ def _index_sum(state: DiscreteState, r: float) -> float:
 
 def moment(state: DiscreteState, r: float) -> float:
     """``eps^(r+1) * sum i^r c_i``, the moment of order ``r`` of the state's step
-    function at cell centers."""
-    if not r >= 0:
+    function at cell centers.
+
+    ValueError unless ``r`` is a finite real number (``grid.finite_float``: not a
+    bool) and nonnegative.
+    """
+    if finite_float("moment order", r) < 0.0:
         raise ValueError("moment order must be nonnegative")
     return state.grid.epsilon ** (r + 1) * _index_sum(state, r)
 

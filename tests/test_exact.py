@@ -149,6 +149,11 @@ def test_domain_guards():
         exact_solution(case, -0.1, 1.0)
     with pytest.raises(ValueError):
         exact_solution(case, 1.0, -1.0)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t must be a finite number"):
+            exact_solution(case, t, 1.0)
+    with pytest.raises(ValueError, match="sizes x"):   # a NaN size is not nonnegative
+        exact_solution(case, 1.0, [0.5, float("nan")])
 
 
 def test_breakpoints():

@@ -9,6 +9,7 @@ from dcasim.grid import build_grid
 
 def test_cell_count_standard_ladder():
     assert build_grid(0.05, 10.0).m == 199
+    assert type(build_grid(0.05, 10).x_max) is float   # the grid holds Python floats
     assert build_grid(0.01, 10.0).m == 999
     assert build_grid(0.005, 10.0).m == 1999
 
@@ -46,9 +47,10 @@ def test_short_domain_message_names_x_max(epsilon, x_max):
     assert not re.search(r"-\d", message.replace(f"x_max={x_max}", ""))
 
 
-@pytest.mark.parametrize("x_max", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("x_max", [math.inf, -math.inf, math.nan, True, "10"])
 def test_non_finite_x_max_message_names_x_max(x_max):
-    # checked before the cell count, whose floor cannot take inf or nan
+    # read by finite_float before the cell count, whose floor cannot take inf
+    # or nan; a bool or a string is not a number either
     with pytest.raises(ValueError, match="x_max") as info:
         build_grid(0.1, x_max)
     assert repr(x_max) in str(info.value)

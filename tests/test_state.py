@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,11 @@ def test_state_shape_guard():
     g = build_grid(0.1, 1.0)
     with pytest.raises(ValueError):
         DiscreteState(g, np.zeros(g.m + 1))
+    # the time is read by finite_float too: a float, -0.0 as 0.0
+    for t in (float("nan"), float("inf"), True):
+        with pytest.raises(ValueError, match="t must be a finite number"):
+            DiscreteState(g, np.zeros(g.m), t)
+    assert math.copysign(1.0, DiscreteState(g, np.zeros(g.m), -0.0).t) == 1.0
 
 
 def test_project_first_cell_value():
@@ -172,10 +179,11 @@ def test_moment_rejects_negative_order():
         moment(st, -1)
 
 
-def test_moment_rejects_nan_order():
+@pytest.mark.parametrize("r", [float("nan"), float("inf"), True])
+def test_moment_rejects_nan_order(r):
     st = DiscreteState(small_grid(0.1, 3), np.ones(3))
     with pytest.raises(ValueError, match="moment order"):
-        moment(st, float("nan"))
+        moment(st, r)
 
 
 def test_weighted_initial_norm():

@@ -46,6 +46,9 @@ RUNS = {
     "kernel-bounds-null": (["simulate"], _KERNEL % "declared_bounds: null"),
     # K = C = xy gels on case 3's profile; past it a step goes negative and is clamped
     "case3-product-clamps": (["simulate"], "case: case3\n" + _KERNEL % "K: product, C: product"),
+    # integer settings: every header reads them as floats (x_max = 10.0, t = 1.0, L = 2.0)
+    "integer-settings": (["simulate"], "epsilon: 0.05\nx_max: 10\nsnapshot_times: [1, 2]\n"
+                                       "kernel: {L: 2}\n"),
     "validate-product-constant": (["validate"], "kernel: {K: product, C: constant}\n"),
     "validate-case1": (["validate", "--case", "case1"], None),
 }
