@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import ExactCase, breakpoints, exact_solution, has_closed_form
-from .grid import finite_float
+from .grid import finite_float, nonnegative, positive
 from .kernels import KernelSpec
 from .state import DiscreteState, MomentSeries, _integrate_cells
 
@@ -115,10 +115,11 @@ def rel_l1_error(state: DiscreteState, case: ExactCase) -> ErrorReport:
 def estimate_order(rows) -> float:
     """Least-squares slope of log(error) against log(epsilon) over ``(epsilon, E1)`` rows.
 
-    Both numbers of every row are read by ``grid.finite_float`` (ValueError
-    unless finite and real, not a bool); rows with ``E1 <= 0`` are left out.
+    Each row's epsilon is read by ``grid.positive`` (ValueError unless finite,
+    real, not a bool and above 0) and its E1 by ``grid.finite_float``; rows with
+    ``E1 <= 0`` are left out.
     """
-    rows = [(finite_float("epsilon", e), finite_float("E1", err)) for e, err in rows]
+    rows = [(positive("epsilon", e), finite_float("E1", err)) for e, err in rows]
     rows = [(e, err) for e, err in rows if err > 0.0]
     if len(rows) < 2:
         raise ValueError("need at least 2 rows with positive error")
@@ -134,10 +135,11 @@ def moment_diagnostics(series: MomentSeries, spec: KernelSpec, epsilon: float,
     mass M1 up to the integrated boundary defect; and the second-moment Riccati
     bound when product-growth constants A1/A2 are declared.  The truncated
     system shows the untruncated one's mass loss as boundary-defect outflow,
-    which the M1 check accounts for.  ``epsilon`` and ``rtol`` are read by
-    ``grid.finite_float`` (ValueError unless finite and real, not a bool).
+    which the M1 check accounts for.  ``epsilon`` is read by ``grid.positive``
+    and ``rtol`` by ``grid.nonnegative`` (ValueError unless finite, real, not a
+    bool, and above 0 or not below 0).
     """
-    epsilon, rtol = finite_float("epsilon", epsilon), finite_float("rtol", rtol)
+    epsilon, rtol = positive("epsilon", epsilon), nonnegative("rtol", rtol)
     if not series.times:
         raise ValueError("empty moment series")
     times, M0, M1, M2, defect = map(np.asarray, (series.times, series.M0, series.M1,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import finite_float
+from .grid import finite_float, nonnegative
 from .kernels import KernelSpec
 
 CASE_IDS = ("case1", "case2", "case3")
@@ -76,12 +76,12 @@ def exact_solution(case: ExactCase, t: float, x):
     transport velocity equals that mass); extension by zero is used behind
     the wave.
 
-    ValueError unless ``t`` is a finite real number (``grid.finite_float``: not
-    a bool) and nonnegative, or, with a closed form, unless every size ``x`` is
-    nonnegative (a NaN size is not).
+    ``t`` is read by ``grid.nonnegative``: ValueError unless it is a finite real
+    number (not a bool) and not below 0.  With a closed form, ValueError too
+    unless every size ``x`` is nonnegative (a NaN size is not); an infinite size
+    has the value 0.
     """
-    if (t := finite_float("t", t)) < 0.0:
-        raise ValueError("t must be nonnegative")
+    t = nonnegative("t", t)
     if not has_closed_form(case):
         return None
     x = np.asarray(x, dtype=float)
@@ -91,13 +91,17 @@ def exact_solution(case: ExactCase, t: float, x):
         scale = 2.0 / (case.M * (1.0 + t) ** 2)
         out = np.where(x / (1.0 + t) <= case.M, scale, 0.0)
     else:
-        u = x - 2.0 * t
+        u = np.minimum(x - 2.0 * t, np.finfo(float).max)   # capped: at x = inf, u * exp(-u) is 0
         out = np.where(u > 0.0, u * np.exp(-np.clip(u, 0.0, None)) / (1.0 + t), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def breakpoints(case: ExactCase, t: float) -> tuple[float, ...]:
-    """Locations where the reference solution is non-smooth at time ``t``."""
+    """Locations where the reference solution is non-smooth at time ``t``.
+
+    ``t`` is read by ``grid.nonnegative``, as in ``exact_solution``.
+    """
+    t = nonnegative("t", t)
     if not has_closed_form(case):
         return ()
     return (case.M * (1.0 + t),) if case.id == "case3" else (2.0 * t,)

@@ -6,8 +6,9 @@ The dust cell ``[0, eps/2)`` below the first cell carries no unknowns; sizes at
 or beyond ``(m + 1/2) * eps`` fall outside the truncated domain, in the tail up
 to ``x_max``.  ``Grid.cuts()`` lists all of these pieces' edges.
 
-``finite_float`` lives here, at the bottom of the import graph, so that every
-module reads the numbers it takes through the same rule.
+``finite_float`` and its two sign rules, ``nonnegative`` and ``positive``, live
+here, at the bottom of the import graph, so that every module reads the numbers
+it takes through the same rules.
 """
 
 from __future__ import annotations
@@ -25,6 +26,20 @@ def finite_float(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value) + 0.0
+
+
+def nonnegative(name: str, value) -> float:
+    """``finite_float(name, value)``; ValueError naming ``name`` if it is below 0."""
+    if (number := finite_float(name, value)) < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    return number
+
+
+def positive(name: str, value) -> float:
+    """``finite_float(name, value)``; ValueError naming ``name`` unless it is above 0."""
+    if (number := finite_float(name, value)) <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import finite_float
+from .grid import finite_float, positive
 from .kernels import DiscreteKernel
 from .rhs import rhs_vector
 from .state import DiscreteState
@@ -61,12 +61,14 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class IntegratorConfig:
+    """Step tolerances, each read by ``grid.positive`` and held as a float:
+    ValueError naming it unless it is a finite real number (not a bool) above 0."""
+
     rtol: float = 1e-6
     atol: float = 1e-10
 
     def __post_init__(self):
-        if min(finite_float("rtol", self.rtol), finite_float("atol", self.atol)) <= 0:
-            raise ValueError("tolerances must be positive")
+        self.rtol, self.atol = positive("rtol", self.rtol), positive("atol", self.atol)
 
 
 @dataclass

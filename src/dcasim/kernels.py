@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, finite_float
+from .grid import Grid, finite_float, nonnegative   # finite_float stays bound here for importers
 
 # Separable form eps * K(x, y) = sum_r a_r(x) * b_r(y), b_r(y) being 1 (key "1")
 # or y (key "x"); each family maps (s, x), s = eps * value, to its pairs (a_r(x), key_r).
@@ -44,6 +44,9 @@ class KernelSpec:
 
     A run (``RunConfig``) accepts ``M_cal`` only, since no run calls
     ``moment_diagnostics``.
+
+    Each value and bound is read by ``grid.nonnegative``: ValueError naming it
+    unless it is a finite real number (not a bool) and not below 0.
     """
 
     family_K: str = "constant"
@@ -64,10 +67,8 @@ class KernelSpec:
             raise ValueError(f"unknown declared bounds {', '.join(sorted(map(str, unknown)))}; "
                              f"known: {', '.join(BOUND_KEYS)}")
         values = dict(K_value=self.K_value, C_value=self.C_value, **bounds)
-        for name, value in values.items():   # bounds on nonnegative kernels, so nonnegative too
-            values[name] = finite_float(name, value)
-            if values[name] < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        # bounds on nonnegative kernels, so nonnegative too
+        values = {name: nonnegative(name, value) for name, value in values.items()}
         for name in ("K_value", "C_value"):
             object.__setattr__(self, name, values.pop(name))
         object.__setattr__(self, "declared_bounds", values)   # the bounds are what remains

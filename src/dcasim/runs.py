@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from .analysis import rel_l1_error
 from .exact import ExactCase, initial_profile
-from .grid import build_grid, finite_float
+from .grid import build_grid, finite_float, nonnegative, positive
 from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate
 from .kernels import DiscreteKernel, KernelSpec, discretize, probe_hypotheses
 from .output import snapshot_filename
@@ -36,17 +36,17 @@ class RunConfig:
 
     def __post_init__(self):
         """Build what a run builds from these settings, so a bad one fails here."""
-        for name in ("x_max", "rtol", "atol"):   # floats for the headers; build_grid reads epsilon
-            setattr(self, name, finite_float(name, getattr(self, name)))
-        for name in ("epsilon_list", "snapshot_times"):
+        # x_max, rtol and atol as floats for the headers (build_grid reads epsilon);
+        # the tolerances as the IntegratorConfig of the run reads them
+        self.x_max = finite_float("x_max", self.x_max)
+        self.rtol, self.atol = astuple(self.integrator_config())
+        for name, read in (("epsilon_list", positive), ("snapshot_times", nonnegative)):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list of numbers, got {values!r}")
-            setattr(self, name, tuple(finite_float(name, v) for v in values))
+            setattr(self, name, tuple(read(name, v) for v in values))
         if list(self.epsilon_list) != sorted(set(self.epsilon_list), reverse=True):
             raise ValueError("epsilon_list must be strictly decreasing")
-        if any(t < 0.0 for t in self.snapshot_times):
-            raise ValueError("snapshot times must be nonnegative")
         self.snapshot_times = tuple(sorted(set(self.snapshot_times)))
         for a, b in zip(self.snapshot_times, self.snapshot_times[1:]):   # sorted: clashes adjoin
             if snapshot_filename(a) == snapshot_filename(b):
@@ -62,7 +62,6 @@ class RunConfig:
             raise ValueError(f"declared_bounds {', '.join(unread)} feed only the library's "
                              f"moment_diagnostics, which no run calls; a run reads M_cal only")
         self.exact_case()
-        self.integrator_config()
         for eps in self.epsilon_list if self.epsilon is None else (self.epsilon,):
             build_grid(eps, self.x_max)   # the grids a run of these settings builds
 

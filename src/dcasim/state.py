@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, finite_float
+from .grid import Grid, finite_float, nonnegative
 
 #: Composite-Simpson panels per cell when projecting initial data, and over
 #: [0, x_max] for the weighted initial norm.
@@ -120,11 +120,10 @@ def moment(state: DiscreteState, r: float) -> float:
     """``eps^(r+1) * sum i^r c_i``, the moment of order ``r`` of the state's step
     function at cell centers.
 
-    ValueError unless ``r`` is a finite real number (``grid.finite_float``: not a
-    bool) and nonnegative.
+    ``r`` is read by ``grid.nonnegative``: ValueError unless it is a finite real
+    number (not a bool) and not below 0.
     """
-    if finite_float("moment order", r) < 0.0:
-        raise ValueError("moment order must be nonnegative")
+    nonnegative("moment order", r)
     return state.grid.epsilon ** (r + 1) * _index_sum(state, r)
 
 

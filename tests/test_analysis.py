@@ -137,10 +137,14 @@ def test_estimate_order_needs_two_rows():
         estimate_order([(0.1, 0.1)])
     with pytest.raises(ValueError):
         estimate_order([(0.1, 0.0), (0.01, 0.0)])
-    # a row that is not two finite numbers is rejected, not left out of the fit
-    for row, name in [((0.1, np.nan), "E1"), ((np.inf, 0.3), "epsilon"),
-                      ((True, 0.3), "epsilon")]:
-        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+    # a row that is not two finite numbers, or whose epsilon is not above 0, is
+    # rejected, not left out of the fit nor passed to the log
+    for row, name, rule in [((0.1, np.nan), "E1", "a finite number"),
+                            ((np.inf, 0.3), "epsilon", "a finite number"),
+                            ((True, 0.3), "epsilon", "a finite number"),
+                            ((0.0, 0.3), "epsilon", "positive"),
+                            ((-0.1, 0.3), "epsilon", "positive")]:
+        with pytest.raises(ValueError, match=f"{name} must be {rule}"):
             estimate_order([row, (0.05, 0.2), (0.02, 0.1)])
 
 
@@ -230,12 +234,16 @@ def test_diagnostics_nan_moment_is_a_violation(name, k, kinds):
 def test_diagnostics_empty_series_rejected():
     with pytest.raises(ValueError):
         moment_diagnostics(MomentSeries(), KernelSpec(), 0.1)
-    # and a non-finite epsilon or rtol, which would flag every time
+    # and a non-finite epsilon or rtol, which would flag every time, a negative
+    # rtol, which flags a constant series, or an epsilon not above 0
     g = build_grid(0.1, 5.0)
     series = _series_from([DiscreteState(g, np.ones(g.m), t) for t in (0.0, 1.0)], [0.0, 0.0])
-    for name, kwargs in [("epsilon", {"epsilon": np.nan}),
-                         ("rtol", {"epsilon": 0.1, "rtol": np.nan})]:
-        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+    for name, rule, kwargs in [("epsilon", "a finite number", {"epsilon": np.nan}),
+                               ("rtol", "a finite number", {"epsilon": 0.1, "rtol": np.nan}),
+                               ("rtol", "nonnegative", {"epsilon": 0.1, "rtol": -1.0}),
+                               ("epsilon", "positive", {"epsilon": 0.0}),
+                               ("epsilon", "positive", {"epsilon": -0.1})]:
+        with pytest.raises(ValueError, match=f"{name} must be {rule}"):
             moment_diagnostics(series, KernelSpec(), **kwargs)
 
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -154,6 +157,15 @@ def test_domain_guards():
             exact_solution(case, t, 1.0)
     with pytest.raises(ValueError, match="sizes x"):   # a NaN size is not nonnegative
         exact_solution(case, 1.0, [0.5, float("nan")])
+    # breakpoints reads t as exact_solution does
+    for t, rule in [(float("nan"), "a finite number"), (-1.0, "nonnegative"),
+                    (True, "a finite number")]:
+        with pytest.raises(ValueError, match=f"t must be {rule}"):
+            breakpoints(case, t)
+    # an infinite size lies past the wave, where the closed form tends to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert exact_solution(case, 0.0, math.inf) == 0.0
 
 
 def test_breakpoints():

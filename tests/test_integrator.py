@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ def _setup(epsilon=0.1, m=None, x_max=10.0):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(rtol=0.0)
+    for name, value in [("rtol", 0.0), ("atol", -1.0)]:
+        with pytest.raises(ValueError, match=f"{name} must be positive, got {value}"):
+            IntegratorConfig(**{name: value})
+    # held as Python floats, which a run's header prints
+    assert [type(v) for v in astuple(IntegratorConfig(rtol=1, atol=1))] == [float, float]
 
 
 @pytest.mark.parametrize("name", ["rtol", "atol"])
