@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import ExactCase, breakpoints, exact_solution, has_closed_form
+from .exact import ExactCase, breakpoints, exact_solution
 from .grid import finite_float, nonnegative, positive
 from .kernels import KernelSpec
 from .state import DiscreteState, MomentSeries, _integrate_cells
@@ -81,9 +81,10 @@ def rel_l1_error(state: DiscreteState, case: ExactCase) -> ErrorReport:
     ``_PROBES + 1`` equispaced probes per piece, so each Simpson piece
     integrates a smooth, single-signed integrand and the absolute value can
     be taken outside.
+
+    A case without a closed form (case2 with lam < 1) is refused by
+    ``exact.breakpoints``, the first reference it reads: ValueError.
     """
-    if not has_closed_form(case):
-        raise ValueError(f"{case.id} with lambda={case.lam} has no closed form")
     t = state.t
     f = lambda x: exact_solution(case, t, x)
     grid = state.grid
@@ -117,12 +118,13 @@ def estimate_order(rows) -> float:
 
     Each row's epsilon is read by ``grid.positive`` (ValueError unless finite,
     real, not a bool and above 0) and its E1 by ``grid.finite_float``; rows with
-    ``E1 <= 0`` are left out.
+    ``E1 <= 0`` are left out.  ValueError unless the rows left hold at least two
+    distinct epsilon, the fewest a slope needs.
     """
     rows = [(positive("epsilon", e), finite_float("E1", err)) for e, err in rows]
     rows = [(e, err) for e, err in rows if err > 0.0]
-    if len(rows) < 2:
-        raise ValueError("need at least 2 rows with positive error")
+    if len({e for e, _ in rows}) < 2:
+        raise ValueError("need positive errors at 2 or more distinct epsilon")
     eps, err = np.log(rows).T
     return float(np.polyfit(eps, err, 1)[0])
 

@@ -20,6 +20,7 @@ import os
 import sys
 
 from .exact import CASE_IDS
+from .grid import mapping
 from .integrator import IntegrationError
 from .kernels import KernelSpec, probe_hypotheses
 from .output import (snapshot_filename, write_error_table_csv, write_moments_csv,
@@ -92,12 +93,9 @@ def _load_config(args) -> RunConfig:
     kb = fields.get("kernel")
     if kb is not None:
         try:
-            extra = set(kb) - set(_KERNEL_KEYS)
-            if extra:
-                raise ValueError(f"unknown keys {', '.join(sorted(map(str, extra)))}")
-            given = {_KERNEL_KEYS[key]: value for key, value in kb.items()}
+            given = {_KERNEL_KEYS[k]: v for k, v in mapping("kernel", kb, _KERNEL_KEYS).items()}
             fields["kernel"] = KernelSpec(**given)
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key 'kernel': {exc}") from exc
     try:
         return RunConfig(**fields)

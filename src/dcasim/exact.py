@@ -68,22 +68,26 @@ def has_closed_form(case: ExactCase) -> bool:
     return case.lam in (None, 1.0)
 
 
-def exact_solution(case: ExactCase, t: float, x):
-    """Reference solution value(s) at time ``t``; ``None`` without closed form.
+def _require_closed_form(case: ExactCase) -> None:
+    """ValueError unless ``case`` has a closed form (``has_closed_form``)."""
+    if not has_closed_form(case):
+        raise ValueError(f"{case.id} with lambda={case.lam} has no closed form")
 
-    case2 with lam < 1 has no closed form.  The case1 wave has travelled a
-    distance 2t (the conserved mass integral of x*exp(-x) is 2, and the
-    transport velocity equals that mass); extension by zero is used behind
-    the wave.
+
+def exact_solution(case: ExactCase, t: float, x):
+    """Reference solution value(s) at time ``t``.
+
+    The case1 wave has travelled a distance 2t (the conserved mass integral of
+    x*exp(-x) is 2, and the transport velocity equals that mass); extension by
+    zero is used behind the wave.
 
     ``t`` is read by ``grid.nonnegative``: ValueError unless it is a finite real
-    number (not a bool) and not below 0.  With a closed form, ValueError too
-    unless every size ``x`` is nonnegative (a NaN size is not); an infinite size
-    has the value 0.
+    number (not a bool) and not below 0.  ValueError too for a case without a
+    closed form (case2 with lam < 1), and unless every size ``x`` is
+    nonnegative (a NaN size is not); an infinite size has the value 0.
     """
     t = nonnegative("t", t)
-    if not has_closed_form(case):
-        return None
+    _require_closed_form(case)
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0.0):
         raise ValueError("sizes x must be nonnegative")
@@ -99,9 +103,9 @@ def exact_solution(case: ExactCase, t: float, x):
 def breakpoints(case: ExactCase, t: float) -> tuple[float, ...]:
     """Locations where the reference solution is non-smooth at time ``t``.
 
-    ``t`` is read by ``grid.nonnegative``, as in ``exact_solution``.
+    ``t`` is read by ``grid.nonnegative``, and a case without a closed form
+    refused, as in ``exact_solution``.
     """
     t = nonnegative("t", t)
-    if not has_closed_form(case):
-        return ()
+    _require_closed_form(case)
     return (case.M * (1.0 + t),) if case.id == "case3" else (2.0 * t,)

@@ -8,12 +8,14 @@ to ``x_max``.  ``Grid.cuts()`` lists all of these pieces' edges.
 
 ``finite_float`` and its two sign rules, ``nonnegative`` and ``positive``, live
 here, at the bottom of the import graph, so that every module reads the numbers
-it takes through the same rules.
+it takes through the same rules; ``mapping`` reads the keyed settings, the
+``kernel:`` block and ``declared_bounds``, the same way.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from numbers import Real
 
@@ -40,6 +42,18 @@ def positive(name: str, value) -> float:
     if (number := finite_float(name, value)) <= 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
     return number
+
+
+def mapping(name: str, value, known) -> dict:
+    """``value`` as a dict, ``None`` as empty; ValueError naming ``name`` unless it
+    is a mapping whose keys are all in ``known``."""
+    value = {} if value is None else value
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping, got {value!r}")
+    if unknown := set(value) - set(known):
+        raise ValueError(f"unknown {name} keys {', '.join(sorted(map(str, unknown)))}; "
+                         f"known: {', '.join(known)}")
+    return dict(value)
 
 
 @dataclass(frozen=True)

@@ -102,11 +102,14 @@ def integrate(state0: DiscreteState, dk: DiscreteKernel, cfg: IntegratorConfig,
     ``snapshot_times`` are read by ``grid.finite_float`` (ValueError unless each
     is a finite real number, not a bool) and must be strictly increasing with
     the first entry at or after ``state0.t``, which ``DiscreteState`` has read
-    the same way.  Raises ``IntegrationError`` on step-size underflow,
-    step-budget exhaustion or an error estimate that is not finite.  Negative
-    entries of an accepted step are clamped to zero in place and their mass
-    recorded in ``StepStats.clamped_mass``.
+    the same way; ValueError too unless ``state0`` and ``dk`` are on one grid.
+    Raises ``IntegrationError`` on step-size underflow, step-budget exhaustion
+    or an error estimate that is not finite.  Negative entries of an accepted
+    step are clamped to zero in place and their mass recorded in
+    ``StepStats.clamped_mass``.
     """
+    if state0.grid != dk.grid:
+        raise ValueError("state and discrete kernel live on different grids")
     t = state0.t
     queue = [finite_float("snapshot time", s) for s in snapshot_times]
     if any(b <= a for a, b in zip(queue, queue[1:])):

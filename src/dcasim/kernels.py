@@ -10,12 +10,12 @@ and the growth conditions CH1 and CH2 are facts of (family, value) that
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, finite_float, nonnegative   # finite_float stays bound here for importers
+# finite_float stays bound here for importers
+from .grid import Grid, finite_float, mapping, nonnegative
 
 # Separable form eps * K(x, y) = sum_r a_r(x) * b_r(y), b_r(y) being 1 (key "1")
 # or y (key "x"); each family maps (s, x), s = eps * value, to its pairs (a_r(x), key_r).
@@ -36,7 +36,7 @@ class KernelSpec:
     ``family_C`` scaled by ``C_value``; both values must be nonnegative.
 
     ``declared_bounds`` carries optional nonnegative growth constants, a
-    mapping by key (``None`` reads as none):
+    mapping by key read by ``grid.mapping`` (``None`` reads as none):
 
     - ``M_cal``: uniform bound on C, condition CH2 (``probe_hypotheses``),
     - ``A1``, ``A2``: product-growth constants K <= A1*x*y, C <= A2*x*y
@@ -59,13 +59,7 @@ class KernelSpec:
         for family in (self.family_K, self.family_C):
             if family not in FAMILIES:
                 raise ValueError(f"unknown kernel family {family!r}")
-        bounds = {} if self.declared_bounds is None else self.declared_bounds
-        if not isinstance(bounds, Mapping):
-            raise ValueError(f"declared_bounds must be a mapping, got {bounds!r}")
-        unknown = set(bounds) - set(BOUND_KEYS)
-        if unknown:
-            raise ValueError(f"unknown declared bounds {', '.join(sorted(map(str, unknown)))}; "
-                             f"known: {', '.join(BOUND_KEYS)}")
+        bounds = mapping("declared_bounds", self.declared_bounds, BOUND_KEYS)
         values = dict(K_value=self.K_value, C_value=self.C_value, **bounds)
         # bounds on nonnegative kernels, so nonnegative too
         values = {name: nonnegative(name, value) for name, value in values.items()}

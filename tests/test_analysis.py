@@ -137,6 +137,9 @@ def test_estimate_order_needs_two_rows():
         estimate_order([(0.1, 0.1)])
     with pytest.raises(ValueError):
         estimate_order([(0.1, 0.0), (0.01, 0.0)])
+    # two rows at one epsilon fix no slope
+    with pytest.raises(ValueError, match="2 or more distinct epsilon"):
+        estimate_order([(0.1, 0.2), (0.1, 0.3)])
     # a row that is not two finite numbers, or whose epsilon is not above 0, is
     # rejected, not left out of the fit nor passed to the log
     for row, name, rule in [((0.1, np.nan), "E1", "a finite number"),

@@ -199,6 +199,17 @@ def test_declared_bounds_not_a_mapping_is_config_error(tmp_path, capsys, bounds)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block", ["product", ["K", "L"]], ids=["string", "list"])
+def test_kernel_block_not_a_mapping_is_config_error(tmp_path, capsys, block):
+    cfg = _write_config(tmp_path, {**FAST_YAML, "kernel": block})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: config key 'kernel': kernel must be a mapping, got {block!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bad_epsilon_is_config_error(tmp_path):
     cfg = _write_config(tmp_path, FAST_YAML)
     assert main(["simulate", "--config", cfg, "--epsilon", "1.5"]) == EXIT_CONFIG

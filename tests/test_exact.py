@@ -73,7 +73,8 @@ def test_closed_form_availability():
     assert has_closed_form(ExactCase("case3"))
     assert has_closed_form(ExactCase("case2", lam=1.0))
     assert not has_closed_form(ExactCase("case2", lam=0.5))
-    assert exact_solution(ExactCase("case2", lam=0.5), 1.0, 2.0) is None
+    with pytest.raises(ValueError, match="has no closed form"):
+        exact_solution(ExactCase("case2", lam=0.5), 1.0, 2.0)
 
 
 def test_case1_wave_values():
@@ -171,4 +172,5 @@ def test_domain_guards():
 def test_breakpoints():
     assert breakpoints(ExactCase("case1"), 1.0) == (2.0,)
     assert breakpoints(ExactCase("case3"), 1.5) == (7.5,)
-    assert breakpoints(ExactCase("case2", lam=0.5), 1.0) == ()
+    with pytest.raises(ValueError, match="has no closed form"):
+        breakpoints(ExactCase("case2", lam=0.5), 1.0)

@@ -86,6 +86,15 @@ def test_snapshot_times_must_increase():
                   IntegratorConfig(), [1.0])
 
 
+@pytest.mark.parametrize("kernel_grid", [(0.05, 0.5), (0.1, 5.0)], ids=["same-m", "other-m"])
+def test_state_and_kernel_on_different_grids_rejected(kernel_grid):
+    # same-m: both grids hold 9 cells, so the arrays alone cannot tell them apart
+    grid = build_grid(0.1, 1.0)
+    dk = discretize(CONST, build_grid(*kernel_grid))
+    with pytest.raises(ValueError, match="state and discrete kernel live on different grids"):
+        integrate(DiscreteState(grid, np.ones(grid.m)), dk, IntegratorConfig(), [0.1])
+
+
 def test_empty_snapshot_list():
     grid, dk = _setup()
     st0 = DiscreteState(grid, np.zeros(grid.m))
