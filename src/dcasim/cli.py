@@ -4,9 +4,10 @@ Configuration comes from a YAML file plus flag overrides; every experiment
 parameter has a documented default (domain [0, 10], epsilon ladder
 0.05/0.01/0.005, snapshots at t = 1 and 2.5, M = 3).  Each subcommand reads
 some of them: simulate all but epsilon_list, sweep all but epsilon, validate
-case, lam and kernel; a setting it does not read, in the YAML or as a flag,
-is a configuration error.  Output is CSV with `#`-prefixed metadata headers;
-plots are left to external tooling.
+case, lam and kernel.  Its parser offers only the flags of the settings it
+reads, so argparse refuses any other flag (exit 2), and a YAML key it does not
+read is a configuration error.  Output is CSV with `#`-prefixed metadata
+headers; plots are left to external tooling.
 
 Exit codes: 0 success, 2 configuration error, 3 integrator failure,
 4 validation failure (a simulated state outside the a-priori bounds).
@@ -50,7 +51,8 @@ _FLAGS = {
 _KERNEL_KEYS = {"K": "family_K", "L": "K_value", "C": "family_C", "C_value": "C_value",
                 "declared_bounds": "declared_bounds"}
 
-# The settings each subcommand reads; it rejects any other rather than ignore it.
+# The settings each subcommand reads; its parser offers only their flags, and it
+# rejects any other YAML key rather than ignore it.
 _FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 _READS = {"simulate": _FIELDS - {"epsilon_list"}, "sweep": _FIELDS - {"epsilon"},
           "validate": {"case", "lam", "kernel"}}
@@ -63,8 +65,8 @@ class ConfigError(ValueError):
 def _load_config(args) -> RunConfig:
     """YAML keys are ``RunConfig`` fields, flags override them, ``RunConfig`` validates.
 
-    A setting given in the YAML or by a flag that ``args.command`` does not
-    read (``_READS``) is a configuration error; ``RunConfig`` defaults are not given.
+    A YAML key that ``args.command`` does not read (``_READS``) is a configuration
+    error; its parser has no flag for one.  ``RunConfig`` defaults are not given.
     """
     fields = {}
     if args.config:
@@ -81,15 +83,12 @@ def _load_config(args) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(map(str, unknown)))}")
 
-    flags = {flag: name for flag, (name, _) in _FLAGS.items() if getattr(args, name) is not None}
     reads = _READS[args.command]
-    ignored = sorted(set(fields) - reads) + [
-        flag for flag, name in flags.items() if name not in reads]
+    ignored = sorted(set(fields) - reads)
     if ignored:
         raise ConfigError(f"{args.command} reads only {', '.join(sorted(reads))}; "
                           f"it would ignore {', '.join(ignored)}")
-    for name in flags.values():
-        fields[name] = getattr(args, name)
+    fields.update((name, v) for name, v in vars(args).items() if name in reads and v is not None)
     kb = fields.get("kernel")
     if kb is not None:
         try:
@@ -169,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
                      ("validate", cmd_validate)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML config file")
-        for flag, (name, options) in _FLAGS.items():
-            p.add_argument(flag, dest=name, default=None, **options)
+        for flag, (field, options) in _FLAGS.items():
+            if field in _READS[name]:
+                p.add_argument(flag, dest=field, default=None, **options)
         p.set_defaults(func=fn)
     return parser
 

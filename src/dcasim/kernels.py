@@ -26,8 +26,8 @@ _FACTORS = {
 }
 FAMILIES = tuple(_FACTORS)
 
-# Growth constants read by probe_hypotheses (M_cal) and moment_diagnostics (A1, A2).
-BOUND_KEYS = ("M_cal", "A1", "A2")
+# Growth constants read by moment_diagnostics; CH2's bound is C_value itself.
+BOUND_KEYS = ("A1", "A2")
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,10 @@ class KernelSpec:
     ``family_C`` scaled by ``C_value``; both values must be nonnegative.
 
     ``declared_bounds`` carries optional nonnegative growth constants, a
-    mapping by key read by ``grid.mapping`` (``None`` reads as none):
-
-    - ``M_cal``: uniform bound on C, condition CH2 (``probe_hypotheses``),
-    - ``A1``, ``A2``: product-growth constants K <= A1*x*y, C <= A2*x*y
-      (the second-moment bound of ``moment_diagnostics``).
-
-    A run (``RunConfig``) accepts ``M_cal`` only, since no run calls
-    ``moment_diagnostics``.
+    mapping by key read by ``grid.mapping`` (``None`` reads as none): ``A1``
+    and ``A2``, the product-growth constants K <= A1*x*y, C <= A2*x*y of the
+    second-moment bound of ``moment_diagnostics``.  A run (``RunConfig``)
+    accepts none, since no run calls ``moment_diagnostics``.
 
     Each value and bound is read by ``grid.nonnegative``: ValueError naming it
     unless it is a finite real number (not a bool) and not below 0.
@@ -147,10 +143,9 @@ def probe_hypotheses(spec: KernelSpec) -> HypothesisReport:
 
     CH1, ``sup_{x <= R} K(x, y) / y -> 0`` as y grows, holds for a constant K
     and fails for product (K/y = L*x) and sum (K/y -> L) unless L = 0.  CH2,
-    C uniformly bounded (by ``M_cal`` when declared), holds only for a bounded
-    C, constant or of value 0, whose sup is ``C_value``.
+    C uniformly bounded, holds likewise only for a constant C, whose bound is
+    ``C_value``, or a C of value 0.  Only the families and values are read.
     """
     ch1_pass = spec.family_K == "constant" or spec.K_value == 0.0
-    C_bounded = spec.family_C == "constant" or spec.C_value == 0.0
-    ch2_pass = C_bounded and spec.C_value <= spec.declared_bounds.get("M_cal", spec.C_value)
+    ch2_pass = spec.family_C == "constant" or spec.C_value == 0.0
     return HypothesisReport(ch1_pass=ch1_pass, ch2_pass=ch2_pass)

@@ -56,11 +56,9 @@ class RunConfig:
         if self.lam is not None and self.kernel is not None:
             raise ValueError("lam sets case 2's C = lam * K, which a kernel block replaces; "
                              "give one or the other")
-        bounds = self.kernel.declared_bounds if self.kernel is not None else {}
-        unread = sorted(set(bounds) - {"M_cal"})
-        if unread:
-            raise ValueError(f"declared_bounds {', '.join(unread)} feed only the library's "
-                             f"moment_diagnostics, which no run calls; a run reads M_cal only")
+        if self.kernel is not None and self.kernel.declared_bounds:
+            raise ValueError(f"declared_bounds {', '.join(sorted(self.kernel.declared_bounds))} "
+                             f"feed only the library's moment_diagnostics, which no run calls")
         self.exact_case()
         for eps in self.epsilon_list if self.epsilon is None else (self.epsilon,):
             build_grid(eps, self.x_max)   # the grids a run of these settings builds

@@ -175,14 +175,16 @@ def _loaded_kernel(tmp_path, block):
     return dcasim.cli._load_config(args).kernel
 
 
-@pytest.mark.parametrize("block", [{}, {"declared_bounds": None}], ids=["empty", "bounds-null"])
+# a run reads no declared bound, so a block's declared_bounds is null or empty
+@pytest.mark.parametrize("block", [{}, {"declared_bounds": None}, {"declared_bounds": {}}],
+                         ids=["empty", "bounds-null", "bounds-empty"])
 def test_kernel_block_defaults_are_kernel_spec_defaults(tmp_path, block):
     assert _loaded_kernel(tmp_path, block) == KernelSpec()
 
 
 @pytest.mark.parametrize("key, field, value", [
     ("K", "family_K", "product"), ("L", "K_value", 2.5), ("C", "family_C", "sum"),
-    ("C_value", "C_value", 0.5), ("declared_bounds", "declared_bounds", {"M_cal": 2.0})])
+    ("C_value", "C_value", 0.5)])
 def test_kernel_block_key_sets_only_its_field(tmp_path, key, field, value):
     expected = dataclasses.replace(KernelSpec(), **{field: value})
     assert _loaded_kernel(tmp_path, {key: value}) == expected
@@ -500,17 +502,16 @@ INVALID_VALIDATE_SETTINGS = [
     ({"kernel": {"K": "product", "Lambda": 0.5}}, "kernel-unknown-key", "Lambda"),
     ({"kernel": {"declared_bounds": {"alpha": 1.0}}}, "kernel-unknown-bound", "alpha"),
     ({"kernel": {"C_value": -0.5}}, "kernel-C_value<0", "C_value"),
-    ({"kernel": {"declared_bounds": {"M_cal": -1.0}}}, "kernel-M_cal<0", "M_cal"),
-    *(({"kernel": {"declared_bounds": {"M_cal": 2.0, key: 1.0}}}, f"kernel-{key}", key)
+    # CH2 reads C's bound off the registry, so M_cal is no bound at all
+    ({"kernel": {"declared_bounds": {"M_cal": -1.0}}}, "kernel-M_cal<0",
+     "unknown declared_bounds keys M_cal"),
+    *(({"kernel": {"declared_bounds": {key: 1.0}}}, f"kernel-{key}", key)
       for key in ("A1", "A2", "K1")),
-    ({}, "flag-epsilon", "--epsilon", "--epsilon", "0.05"),
-    ({}, "flag-out", "--out", "--out", "out"),
     ({"x_max": 20}, "x_max", "x_max"),
 ]
-# (command, overrides, id, the setting the message must name, *flags): each
-# subcommand rejects the resolution setting of the other
+# (command, overrides, id, the setting the message must name): each subcommand
+# rejects the resolution setting of the other
 UNREAD_SETTINGS = [
-    ("sweep", {}, "flag-epsilon", "--epsilon", "--epsilon", "0.01"),
     ("sweep", {"epsilon": 0.01}, "epsilon", "epsilon"),
     ("simulate", {"epsilon_list": [0.2, 0.1]}, "epsilon_list", "epsilon_list"),
 ]
@@ -537,10 +538,8 @@ def test_invalid_setting_base_runs(tmp_path, monkeypatch, command):
       for overrides, name, named, *flags in INVALID_VALIDATE_SETTINGS),
     *(pytest.param(command, overrides, named, flags, id=f"{command}-{name}")
       for command, overrides, name, named, *flags in UNREAD_SETTINGS)])
-def test_invalid_setting_is_config_error(tmp_path, capsys, monkeypatch, command, overrides,
-                                         named, flags):
+def test_invalid_setting_is_config_error(tmp_path, capsys, command, overrides, named, flags):
     # every setting is checked when the config loads, before any run starts
-    monkeypatch.chdir(tmp_path)     # the validate "--out out" row names a relative path
     argv = [command, "--config", _setting_config(tmp_path, command, overrides), *flags]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -549,6 +548,43 @@ def test_invalid_setting_is_config_error(tmp_path, capsys, monkeypatch, command,
     if named is not None:
         assert named in err
     assert not os.path.exists(tmp_path / "out")
+
+
+# (command, flag, value): each subcommand's parser has a flag only for a setting
+# it reads, so argparse refuses any other
+UNREAD_FLAGS = [("validate", "--epsilon", "0.05"), ("validate", "--out", "out"),
+                ("sweep", "--epsilon", "0.01")]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param(*row, id=f"{row[0]}-flag-{row[1][2:]}") for row in UNREAD_FLAGS])
+def test_unread_flag_is_usage_error(tmp_path, capsys, monkeypatch, command, flag, value):
+    monkeypatch.chdir(tmp_path)     # the "--out out" row names a relative path
+    argv = [command, "--config", _setting_config(tmp_path, command, {}), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+# the flags each subcommand's --help offers besides -h and --config
+OFFERED = {"simulate": {"--epsilon", "--case", "--lambda", "--out", "--rtol", "--atol"},
+           "sweep": {"--case", "--lambda", "--out", "--rtol", "--atol"},
+           "validate": {"--case", "--lambda"}}
+
+
+@pytest.mark.parametrize("command", sorted(BASES))
+def test_help_lists_only_read_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == EXIT_OK
+    offered = set(re.findall(r"(?<![\w-])--\w+", capsys.readouterr().out)) - {"--help", "--config"}
+    reads = dcasim.cli._READS[command]
+    assert offered == OFFERED[command] == {
+        flag for flag, (field, _) in dcasim.cli._FLAGS.items() if field in reads}
 
 
 def _no_run(cfg):

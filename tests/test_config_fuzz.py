@@ -1,5 +1,6 @@
 """Seeded fuzz of the CLI's config handling: every config file, with up to
-two flags, ends in a documented exit code, and no Python traceback escapes.
+two flags, ends in a documented exit code, and no Python traceback escapes;
+a flag of a setting the subcommand does not read exits 2.
 
 The value pools are bounded so that a run is cheap: every finite ``x_max``
 with at least three cells is at most 20, every ``epsilon`` that passes with
@@ -38,10 +39,11 @@ POOLS = {
     "kernel": ([{}, {"K": "constant"}, {"K": "product", "C": "product"},
                 {"K": "sum", "L": 0.5}, {"K": "product", "C": "constant", "C_value": 0.5},
                 {"C": "sum", "C_value": 0.2}, {"L": 0.0, "C_value": 1.0},
-                {"declared_bounds": {"M_cal": 2.0}}, {"declared_bounds": None}],
+                {"declared_bounds": {}}, {"declared_bounds": None}],
                [{"K": "bogus"}, {"K": None}, {"K": ["product"]}, {"L": NAN}, {"L": -1.0},
-                {"L": True}, {"C_value": "x"}, {"declared_bounds": {"M_cal": NAN}},
-                {"declared_bounds": {"A1": 1.0}}, {"declared_bounds": "x"},
+                {"L": True}, {"C_value": "x"}, {"declared_bounds": {"A2": NAN}},
+                {"declared_bounds": {"A1": 1.0}}, {"declared_bounds": {"M_cal": 2.0}},
+                {"declared_bounds": "x"},
                 {"declared_bounds": [1]}, {"foo": 1}, {"kernel": {}}, "constant", [1, 2],
                 5, *JUNK]),
     "rtol": ([1e-6, 1e-3, 0.1, 1e300], [0.0, -1.0, *JUNK]),
@@ -65,6 +67,10 @@ FLAG_POOLS = {
 # the flags each subcommand draws from: those that set a setting it reads
 FLAGS = {command: [flag for flag in sorted(FLAG_POOLS) if _FLAGS[flag][0] in reads]
          for command, reads in _READS.items()}
+# the flags each subcommand's parser lacks, one of which a draw adds one time in
+# eight; simulate reads every flag's setting, so it lacks none
+UNREAD_FLAGS = {command: [flag for flag, (name, _) in sorted(_FLAGS.items()) if name not in reads]
+                for command, reads in _READS.items()}
 # what a subcommand that integrates starts from, unless the draw replaces it
 BASE = {"simulate": {"epsilon": 0.1, "x_max": 5.0, "snapshot_times": [0.01]},
         "sweep": {"x_max": 5.0, "snapshot_times": [0.01]}, "validate": {}}
@@ -79,7 +85,7 @@ def _pick(rng, pool):
 
 def _draw(rng, tmp_path):
     """A subcommand, a config that sets one to three keys it reads, each wrong one
-    time in four, and zero to two flags.
+    time in four, zero to two flags, and whether an unread flag was added.
 
     ``lam`` is rejected off case 2 and beside a ``kernel:`` block, so a drawn
     ``lam`` key keeps a drawn block one time in four, and a drawn ``lam``, key
@@ -106,7 +112,10 @@ def _draw(rng, tmp_path):
         config["case"] = "case2"
         if "--case" in flags:
             flags["--case"] = "case2"
-    return command, config, [arg for flag in flags.items() for arg in flag]
+    unread = bool(UNREAD_FLAGS[command]) and rng.random() < 0.125
+    if unread:
+        flags[rng.choice(UNREAD_FLAGS[command])] = "0.1"     # a value each would take
+    return command, config, [arg for flag in flags.items() for arg in flag], unread
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -115,7 +124,7 @@ def test_config_fuzz_exits_with_documented_code(tmp_path, capsys, seed):
     rng = random.Random(seed)
     path = tmp_path / "config.yaml"
     for _ in range(100):
-        command, config, flags = _draw(rng, tmp_path)
+        command, config, flags, unread = _draw(rng, tmp_path)
         path.write_text(yaml.safe_dump(config))
         try:
             code = main([command, "--config", str(path), *flags])
@@ -125,4 +134,5 @@ def test_config_fuzz_exits_with_documented_code(tmp_path, capsys, seed):
             pytest.fail(f"{command} {config!r} {flags} raised {exc!r}")
         captured = capsys.readouterr()
         assert code in DOCUMENTED, (command, config, flags, captured.err)
+        assert code == EXIT_CONFIG or not unread, (command, config, flags, captured.err)
         assert "Traceback" not in captured.out + captured.err, (command, config, flags)

@@ -24,9 +24,14 @@ def test_config_validation():
                 {"snapshot_times": 1.0}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
-    # a run reads the declared bound M_cal (CH2); A1 and A2 feed only moment_diagnostics
-    spec = KernelSpec(declared_bounds={"M_cal": 2.0})
+    # a run reads no declared bound: A1 and A2 feed only moment_diagnostics, and
+    # CH2 reads C's bound, C_value, off the registry, so M_cal is no bound at all
+    spec = KernelSpec(declared_bounds=None)
     assert RunConfig(kernel=spec).kernel is spec
+    with pytest.raises(ValueError, match="declared_bounds A1, A2 feed only"):
+        RunConfig(kernel=KernelSpec(declared_bounds={"A2": 1.0, "A1": 1.0}))
+    with pytest.raises(ValueError, match="unknown declared_bounds keys M_cal"):
+        RunConfig(kernel=KernelSpec(declared_bounds={"M_cal": 2.0}))
     # snapshot times are stored sorted, without repeats
     assert RunConfig(snapshot_times=[2.5, 1.0, 2.5, 0]).snapshot_times == (0.0, 1.0, 2.5)
 
