@@ -5,9 +5,12 @@ parameter has a documented default (domain [0, 10], epsilon ladder
 0.05/0.01/0.005, snapshots at t = 1 and 2.5, M = 3).  Each subcommand reads
 some of them: simulate all but epsilon_list, sweep all but epsilon, validate
 case, lam and kernel.  Its parser offers only the flags of the settings it
-reads, so argparse refuses any other flag (exit 2), and a YAML key it does not
-read is a configuration error.  Output is CSV with `#`-prefixed metadata
-headers; plots are left to external tooling.
+reads, so it refuses any other flag with its own usage line (exit 2).  The
+config file's top level is read by ``grid.mapping``: an empty file is no keys,
+and a top level that is not a mapping, or a key the subcommand does not read,
+is a configuration error (``unknown sweep config keys epsilon; known: …``).
+Output is CSV with `#`-prefixed metadata headers; plots are left to external
+tooling.
 
 Exit codes: 0 success, 2 configuration error, 3 integrator failure,
 4 validation failure (a simulated state outside the a-priori bounds).
@@ -65,29 +68,25 @@ class ConfigError(ValueError):
 def _load_config(args) -> RunConfig:
     """YAML keys are ``RunConfig`` fields, flags override them, ``RunConfig`` validates.
 
-    A YAML key that ``args.command`` does not read (``_READS``) is a configuration
-    error; its parser has no flag for one.  ``RunConfig`` defaults are not given.
+    The file's top level is read by ``grid.mapping``: an empty file is no keys, and
+    a top level that is not a mapping, or a key that ``args.command`` does not read
+    (``_READS``), is a configuration error, ``unknown <command> config keys …;
+    known: …``.  Its parser has no flag for one.  ``RunConfig`` defaults are not given.
     """
-    fields = {}
+    loaded = None
     if args.config:
         import yaml   # only a config file needs it, and it costs tens of ms to import
 
         try:
             with open(args.config) as fh:
-                fields = yaml.safe_load(fh) or {}
+                loaded = yaml.safe_load(fh)
         except (OSError, yaml.YAMLError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(fields, dict):
-            raise ConfigError(f"config {args.config}: top level must be a mapping")
-    unknown = set(fields) - _FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(map(str, unknown)))}")
-
     reads = _READS[args.command]
-    ignored = sorted(set(fields) - reads)
-    if ignored:
-        raise ConfigError(f"{args.command} reads only {', '.join(sorted(reads))}; "
-                          f"it would ignore {', '.join(ignored)}")
+    try:
+        fields = mapping(f"{args.command} config", loaded, sorted(reads))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     fields.update((name, v) for name, v in vars(args).items() if name in reads and v is not None)
     kb = fields.get("kernel")
     if kb is not None:
@@ -171,13 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, (field, options) in _FLAGS.items():
             if field in _READS[name]:
                 p.add_argument(flag, dest=field, default=None, **options)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except ConfigError as exc:

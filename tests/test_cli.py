@@ -102,10 +102,17 @@ def test_unknown_config_key_is_config_error(tmp_path):
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
 
 
+# the keys simulate reads, as its unknown-key message lists them
+SIMULATE_KNOWN = ("known: M, atol, case, epsilon, kernel, lam, output_dir, rtol, "
+                  "snapshot_times, x_max")
+
+
 def test_lambda_list_is_unknown_config_key(tmp_path, capsys):
     cfg = _write_config(tmp_path, {**FAST_YAML, "lambda_list": [0.0, 0.5]})
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
-    assert "unknown config keys: lambda_list" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unknown simulate config keys lambda_list; {SIMULATE_KNOWN}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [("t_max", 2.5), ("negativity_policy", "clamp_tiny"),
@@ -114,7 +121,9 @@ def test_deleted_setting_is_unknown_config_key(tmp_path, capsys, key, value):
     # a config that still carries a deleted setting is rejected, not ignored
     cfg = _write_config(tmp_path, {**FAST_YAML, key: value})
     assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
-    assert f"unknown config keys: {key}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unknown simulate config keys {key}; {SIMULATE_KNOWN}" in err
+    assert "Traceback" not in err
 
 
 def test_missing_config_file_is_config_error(tmp_path):
@@ -134,8 +143,30 @@ def test_non_mapping_config_is_config_error(tmp_path, capsys):
     cfg.write_text("- epsilon: 0.1\n")
     assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"config {cfg}: top level must be a mapping" in err
+    assert "simulate config must be a mapping, got [{'epsilon': 0.1}]" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(BASES))
+@pytest.mark.parametrize("top", ["[]", "false", "0", "''"])
+def test_non_mapping_top_level_is_config_error(tmp_path, capsys, command, top):
+    # a falsy top level is no empty config: it is refused like any other non-mapping
+    cfg = tmp_path / "top.yaml"
+    cfg.write_text(top + "\n")
+    out = tmp_path / "out"
+    flags = {"simulate": ["--epsilon", "0.5", "--out", str(out)],
+             "sweep": ["--out", str(out)], "validate": []}[command]
+    assert main([command, "--config", str(cfg), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{command} config must be a mapping" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_empty_config_file_reads_as_no_keys(tmp_path):
+    cfg = tmp_path / "empty.yaml"
+    cfg.write_text("")
+    assert main(["validate", "--config", str(cfg)]) == EXIT_OK
 
 
 def test_cli_import_leaves_yaml_unloaded():
@@ -551,9 +582,10 @@ def test_invalid_setting_is_config_error(tmp_path, capsys, command, overrides, n
 
 
 # (command, flag, value): each subcommand's parser has a flag only for a setting
-# it reads, so argparse refuses any other
+# it reads, so argparse refuses any other; simulate reads every flag's setting,
+# so its row is a flag no parser has
 UNREAD_FLAGS = [("validate", "--epsilon", "0.05"), ("validate", "--out", "out"),
-                ("sweep", "--epsilon", "0.01")]
+                ("sweep", "--epsilon", "0.01"), ("simulate", "--threads", "2")]
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -565,6 +597,7 @@ def test_unread_flag_is_usage_error(tmp_path, capsys, monkeypatch, command, flag
         main(argv)
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
+    assert err.startswith(f"usage: dcasim {command} ")    # the subcommand's own usage
     assert f"unrecognized arguments: {flag} {value}" in err
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "out")

@@ -1,6 +1,7 @@
 """Seeded fuzz of the CLI's config handling: every config file, with up to
 two flags, ends in a documented exit code, and no Python traceback escapes;
-a flag of a setting the subcommand does not read exits 2.
+a flag of a setting the subcommand does not read, and a config file whose top
+level is not a mapping, exit 2.
 
 The value pools are bounded so that a run is cheap: every finite ``x_max``
 with at least three cells is at most 20, every ``epsilon`` that passes with
@@ -74,6 +75,8 @@ UNREAD_FLAGS = {command: [flag for flag, (name, _) in sorted(_FLAGS.items()) if 
 # what a subcommand that integrates starts from, unless the draw replaces it
 BASE = {"simulate": {"epsilon": 0.1, "x_max": 5.0, "snapshot_times": [0.01]},
         "sweep": {"x_max": 5.0, "snapshot_times": [0.01]}, "validate": {}}
+# what one draw in eight writes instead of the whole config
+NON_MAPPINGS = [[], [{"case": "case1"}], False, 0, "case: case1", ""]
 DOCUMENTED = {EXIT_OK, EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_VALIDATION}
 
 
@@ -85,7 +88,8 @@ def _pick(rng, pool):
 
 def _draw(rng, tmp_path):
     """A subcommand, a config that sets one to three keys it reads, each wrong one
-    time in four, zero to two flags, and whether an unread flag was added.
+    time in four, zero to two flags, and whether the draw must exit 2: an unread
+    flag added, or the config replaced by a non-mapping, each one time in eight.
 
     ``lam`` is rejected off case 2 and beside a ``kernel:`` block, so a drawn
     ``lam`` key keeps a drawn block one time in four, and a drawn ``lam``, key
@@ -115,7 +119,10 @@ def _draw(rng, tmp_path):
     unread = bool(UNREAD_FLAGS[command]) and rng.random() < 0.125
     if unread:
         flags[rng.choice(UNREAD_FLAGS[command])] = "0.1"     # a value each would take
-    return command, config, [arg for flag in flags.items() for arg in flag], unread
+    whole = rng.random() < 0.125
+    if whole:
+        config = rng.choice(NON_MAPPINGS)
+    return command, config, [arg for flag in flags.items() for arg in flag], unread or whole
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -124,7 +131,7 @@ def test_config_fuzz_exits_with_documented_code(tmp_path, capsys, seed):
     rng = random.Random(seed)
     path = tmp_path / "config.yaml"
     for _ in range(100):
-        command, config, flags, unread = _draw(rng, tmp_path)
+        command, config, flags, refused = _draw(rng, tmp_path)
         path.write_text(yaml.safe_dump(config))
         try:
             code = main([command, "--config", str(path), *flags])
@@ -134,5 +141,5 @@ def test_config_fuzz_exits_with_documented_code(tmp_path, capsys, seed):
             pytest.fail(f"{command} {config!r} {flags} raised {exc!r}")
         captured = capsys.readouterr()
         assert code in DOCUMENTED, (command, config, flags, captured.err)
-        assert code == EXIT_CONFIG or not unread, (command, config, flags, captured.err)
+        assert code == EXIT_CONFIG or not refused, (command, config, flags, captured.err)
         assert "Traceback" not in captured.out + captured.err, (command, config, flags)
