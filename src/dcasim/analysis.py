@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import ExactCase, breakpoints, exact_solution
 from .grid import finite_float, nonnegative, positive
-from .kernels import KernelSpec
+from .kernels import KernelSpec, growth_constants
 from .state import DiscreteState, MomentSeries, _integrate_cells
 
 _ROOT_TOL = 1e-10
@@ -34,10 +35,15 @@ class ErrorReport:
     denominator: float
 
 
+class AprioriBoundError(RuntimeError):
+    """A run's moments failed the verdict of ``moment_diagnostics``."""
+
+
 @dataclass
 class MomentBoundReport:
     riccati_bound: np.ndarray | None
     riccati_checked_mask: np.ndarray | None
+    riccati_horizon: float | None   # t* past the first time; None when unchecked
     violations: list
 
 
@@ -131,11 +137,16 @@ def estimate_order(rows) -> float:
 
 def moment_diagnostics(series: MomentSeries, spec: KernelSpec, epsilon: float,
                        rtol: float = 1e-6) -> MomentBoundReport:
-    """Check the moment identities and declared growth bounds along a run.
+    """Check the moment identities and the second-moment growth bound along a run.
 
     Checks: monotone decay of the particle count M0; constancy of the interior
-    mass M1 up to the integrated boundary defect; and the second-moment Riccati
-    bound when product-growth constants A1/A2 are declared.  The truncated
+    mass M1 up to the integrated boundary defect; and, when ``growth_constants``
+    gives both A1 and A2 and M2 > 0 at the first time, the second-moment Riccati bound
+    ``M2 <= M1 M2 g / (M1 + 2 M2 (1 - g))``, ``g = exp(A M1 t)`` with
+    ``A = 2 max(A1, A2)`` and the moments taken at the first time.  The bound
+    holds up to ``riccati_horizon``, ``t* = ln(1 + M1/(2 M2)) / (A M1)``, where
+    its denominator reaches 0, and is checked only before it
+    (``riccati_checked_mask``); t* is infinite when A is 0.  The truncated
     system shows the untruncated one's mass loss as boundary-defect outflow,
     which the M1 check accounts for.  ``epsilon`` is read by ``grid.positive``
     and ``rtol`` by ``grid.nonnegative`` (ValueError unless finite, real, not a
@@ -154,20 +165,21 @@ def moment_diagnostics(series: MomentSeries, spec: KernelSpec, epsilon: float,
     mismatch = ~(np.abs(M1 - M1[0] - epsilon**2 * defect) <= 100.0 * rtol * max(M1[0], 1e-300))
     failed = [("M0_increase", times[1:][increase]), ("mass_defect_mismatch", times[mismatch])]
 
-    riccati = mask = None
-    a1 = spec.declared_bounds.get("A1")
-    a2 = spec.declared_bounds.get("A2")
+    riccati = mask = horizon = None
+    a1, a2 = growth_constants(spec)
     if a1 is not None and a2 is not None and M2[0] > 0.0:
-        A = 2.0 * max(a1, a2)
-        growth = np.exp(A * M1[0] * (times - times[0]))
-        denom = A * M1[0] + 2.0 * A * M2[0] * (1.0 - growth)
+        A, m1, m2 = 2.0 * max(a1, a2), float(M1[0]), float(M2[0])
+        horizon = math.log1p(m1 / (2.0 * m2)) / (A * m1) if A else math.inf
+        growth = np.exp(A * m1 * (times - times[0]))
+        denom = m1 + 2.0 * m2 * (1.0 - growth)
         mask = denom > 0.0
         riccati = np.full_like(times, np.nan)
-        riccati[mask] = A * M1[0] * M2[0] * growth[mask] / denom[mask]
+        riccati[mask] = m1 * m2 * growth[mask] / denom[mask]
         failed.append(("second_moment_bound", times[mask & ~(M2 <= riccati * (1.0 + 1e-9))]))
 
     return MomentBoundReport(
         riccati_bound=riccati,
         riccati_checked_mask=mask,
+        riccati_horizon=horizon,
         violations=[(kind, float(tm)) for kind, at in failed for tm in at],
     )

@@ -13,7 +13,8 @@ Output is CSV with `#`-prefixed metadata headers; plots are left to external
 tooling.
 
 Exit codes: 0 success, 2 configuration error, 3 integrator failure,
-4 validation failure (a simulated state outside the a-priori bounds).
+4 validation failure (a run's moments failed the verdict of
+``moment_diagnostics``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import dataclasses
 import os
 import sys
 
+from .analysis import AprioriBoundError
 from .exact import CASE_IDS
 from .grid import mapping
 from .integrator import IntegrationError
@@ -30,7 +32,6 @@ from .kernels import KernelSpec, probe_hypotheses
 from .output import (snapshot_filename, write_error_table_csv, write_moments_csv,
                      write_snapshot_csv)
 from .runs import RunConfig, config_metadata, run_simulation, run_sweep, sweep_case
-from .state import AprioriBoundError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

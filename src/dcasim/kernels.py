@@ -4,8 +4,9 @@ The registry is closed: ``constant`` L, ``product`` L*x*y and ``sum``
 L*(x + y), each scaled by its value L >= 0.  K and C are two independent
 kernels of this form; ``C = lam * K`` is C in K's family with value
 ``lam * L``.  So every kernel is symmetric and nonnegative by construction,
-and the growth conditions CH1 and CH2 are facts of (family, value) that
-``probe_hypotheses`` reads off exactly.
+and the growth conditions CH1 and CH2, and the product-growth constants A1
+and A2, are facts of (family, value) that ``probe_hypotheses`` and
+``growth_constants`` read off exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ _FACTORS = {
 }
 FAMILIES = tuple(_FACTORS)
 
-# Growth constants read by moment_diagnostics; CH2's bound is C_value itself.
+# The keys of KernelSpec.declared_bounds, which nothing reads: growth_constants
+# gives A1 and A2 off the registry, and CH2's bound is C_value itself.
 BOUND_KEYS = ("A1", "A2")
 
 
@@ -35,11 +37,10 @@ class KernelSpec:
     """Closed-form kernel pair: K is ``family_K`` scaled by ``K_value``, C is
     ``family_C`` scaled by ``C_value``; both values must be nonnegative.
 
-    ``declared_bounds`` carries optional nonnegative growth constants, a
-    mapping by key read by ``grid.mapping`` (``None`` reads as none): ``A1``
-    and ``A2``, the product-growth constants K <= A1*x*y, C <= A2*x*y of the
-    second-moment bound of ``moment_diagnostics``.  A run (``RunConfig``)
-    accepts none, since no run calls ``moment_diagnostics``.
+    ``declared_bounds`` carries optional nonnegative growth constants ``A1``
+    and ``A2``, a mapping by key read by ``grid.mapping`` (``None`` reads as
+    none).  Nothing reads them: ``moment_diagnostics`` takes the constants
+    from ``growth_constants``, and a run (``RunConfig``) accepts none.
 
     Each value and bound is read by ``grid.nonnegative``: ValueError naming it
     unless it is a finite real number (not a bool) and not below 0.
@@ -149,3 +150,15 @@ def probe_hypotheses(spec: KernelSpec) -> HypothesisReport:
     ch1_pass = spec.family_K == "constant" or spec.K_value == 0.0
     ch2_pass = spec.family_C == "constant" or spec.C_value == 0.0
     return HypothesisReport(ch1_pass=ch1_pass, ch2_pass=ch2_pass)
+
+
+def growth_constants(spec: KernelSpec) -> tuple:
+    """The product-growth constants ``(A1, A2)``, K <= A1*x*y and C <= A2*x*y, exactly.
+
+    A product kernel of value L gives L and any kernel of value 0 gives 0; a
+    constant or sum kernel of nonzero value gives ``None``, since it exceeds
+    every A*x*y as x and y tend to 0.  Only the families and values are read.
+    """
+    return tuple(value if family == "product" or value == 0.0 else None
+                 for family, value in ((spec.family_K, spec.K_value),
+                                       (spec.family_C, spec.C_value)))

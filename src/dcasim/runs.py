@@ -6,15 +6,13 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .analysis import rel_l1_error
+from .analysis import AprioriBoundError, MomentBoundReport, moment_diagnostics, rel_l1_error
 from .exact import ExactCase, initial_profile
 from .grid import build_grid, finite_float, nonnegative, positive
 from .integrator import IntegrationError, IntegratorConfig, StepStats, integrate
 from .kernels import DiscreteKernel, KernelSpec, discretize, probe_hypotheses
 from .output import snapshot_filename
-from .state import (AprioriBoundError, DiscreteState, MomentSeries,
-                    ProjectionLoss, check_apriori_bounds, project_initial,
-                    weighted_initial_norm)
+from .state import DiscreteState, MomentSeries, ProjectionLoss, project_initial
 
 DEFAULT_EPSILON_LADDER = (0.05, 0.01, 0.005)
 DEFAULT_SNAPSHOT_TIMES = (1.0, 2.5)
@@ -58,7 +56,7 @@ class RunConfig:
                              "give one or the other")
         if self.kernel is not None and self.kernel.declared_bounds:
             raise ValueError(f"declared_bounds {', '.join(sorted(self.kernel.declared_bounds))} "
-                             f"feed only the library's moment_diagnostics, which no run calls")
+                             f"are read by no run: a run reads A1 and A2 off the kernel registry")
         self.exact_case()
         for eps in self.epsilon_list if self.epsilon is None else (self.epsilon,):
             build_grid(eps, self.x_max)   # the grids a run of these settings builds
@@ -95,6 +93,7 @@ class SimulationRun:
     moments: MomentSeries
     stats: StepStats
     projection_loss: ProjectionLoss
+    diagnostics: MomentBoundReport   # the moments' verdict, which found no violation
 
     def metadata(self) -> dict:
         # kernel_K, kernel_K_value, kernel_C, kernel_C_value, kernel_declared_bounds
@@ -108,6 +107,9 @@ class SimulationRun:
             "projection_tail": self.projection_loss.tail,
             "hypotheses": "verified" if probe.ch1_pass and probe.ch2_pass
                           else "hypotheses-unverified",
+            # only when the verdict checked the Riccati bound: both growth constants, M2(0) > 0
+            **({} if self.diagnostics.riccati_horizon is None
+               else {"riccati_horizon": self.diagnostics.riccati_horizon}),
             **{f.name: getattr(self.stats, f.name) for f in fields(self.stats)
                if f.name != "defect_integrals"},
         })
@@ -115,24 +117,25 @@ class SimulationRun:
 
 
 def run_simulation(cfg: RunConfig) -> SimulationRun:
-    """Project the initial data, integrate at ``cfg.epsilon``, and collect snapshots
-    and moments; ``build_grid`` rejects an unset ``cfg.epsilon``."""
+    """Project the initial data, integrate at ``cfg.epsilon``, collect snapshots and
+    moments, and check the moments once with ``moment_diagnostics`` at ``cfg.rtol``:
+    ``AprioriBoundError`` naming each violation's kind and time if it finds any.
+    ``build_grid`` rejects an unset ``cfg.epsilon``."""
     grid = build_grid(cfg.epsilon, cfg.x_max)
     dk = discretize(cfg.kernel_pair(), grid)
-
-    f_in = initial_profile(cfg.exact_case())
-    state0, loss = project_initial(f_in, grid)
-    norm = weighted_initial_norm(f_in, cfg.x_max)
-
+    state0, loss = project_initial(initial_profile(cfg.exact_case()), grid)
     snapshots, stats = integrate(state0, dk, cfg.integrator_config(), cfg.snapshot_times)
 
     moments = MomentSeries()
     for st, dint in zip((state0, *snapshots), (0.0, *stats.defect_integrals)):
         moments.append(st, dint)
-        check_apriori_bounds(moments, norm, slack=100.0 * cfg.rtol)
+    report = moment_diagnostics(moments, dk.spec, grid.epsilon, rtol=cfg.rtol)
+    if report.violations:
+        raise AprioriBoundError("moment verdict failed: " + ", ".join(
+            f"{kind} at t={t}" for kind, t in report.violations))
 
     return SimulationRun(config=cfg, dk=dk, initial=state0, snapshots=snapshots, moments=moments,
-                         stats=stats, projection_loss=loss)
+                         stats=stats, projection_loss=loss, diagnostics=report)
 
 
 @dataclass

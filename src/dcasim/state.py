@@ -8,14 +8,8 @@ import numpy as np
 
 from .grid import Grid, finite_float, nonnegative
 
-#: Composite-Simpson panels per cell when projecting initial data, and over
-#: [0, x_max] for the weighted initial norm.
+#: Composite-Simpson panels per cell when projecting initial data.
 _PROJECTION_PANELS = 16
-_NORM_PANELS = 4096
-
-
-class AprioriBoundError(RuntimeError):
-    """A trajectory left the a-priori density bounds."""
 
 
 @dataclass
@@ -74,8 +68,7 @@ class ProjectionLoss:
 
 
 def _simpson_nodes_weights(panels: int):
-    # every caller passes an even constant: ``_PROJECTION_PANELS``, ``_NORM_PANELS``
-    # or ``analysis._PANELS``
+    # every caller passes an even constant: ``_PROJECTION_PANELS`` or ``analysis._PANELS``
     w = np.ones(panels + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -126,23 +119,3 @@ def moment(state: DiscreteState, r: float) -> float:
     nonnegative("moment order", r)
     return state.grid.epsilon ** (r + 1) * _index_sum(state, r)
 
-
-def weighted_initial_norm(f_in, x_max: float) -> float:
-    """``int (1 + x) f_in(x) dx`` over [0, x_max], by composite Simpson."""
-    g = lambda x: (1.0 + x) * f_in(x)
-    return float(_integrate_cells(g, np.array([0.0]), np.array([x_max]), _NORM_PANELS)[0])
-
-
-def check_apriori_bounds(series: MomentSeries, initial_norm: float, slack: float = 1e-9):
-    """Assert the trajectory bounds M1 <= 2*norm and M0 <= norm at the series' latest row.
-
-    ``initial_norm`` is the weighted integral of the initial profile; raises
-    ``AprioriBoundError`` on violation.
-    """
-    m0, m1 = series.M0[-1], series.M1[-1]
-    tol = slack * max(1.0, initial_norm)
-    if m1 > 2.0 * initial_norm + tol or m0 > initial_norm + tol:
-        raise AprioriBoundError(
-            f"a-priori density bounds violated at t={series.times[-1]}: "
-            f"M0={m0}, M1={m1}, weighted initial norm={initial_norm}"
-        )

@@ -189,8 +189,7 @@ def test_diagnostics_riccati_denominator_mask():
     g = build_grid(0.1, 5.0)
     c = np.full(g.m, 0.5)
     states = [DiscreteState(g, c, t) for t in (0.0, 1.0)]
-    spec = KernelSpec(family_K="product", family_C="product",
-                      declared_bounds={"A1": 1.0, "A2": 1.0})
+    spec = KernelSpec(family_K="product", family_C="product")
     rep = moment_diagnostics(_series_from(states, [0.0, 0.0]), spec, g.epsilon)
     assert rep.riccati_checked_mask is not None
     assert bool(rep.riccati_checked_mask[0])
@@ -204,11 +203,41 @@ def test_diagnostics_flags_second_moment_above_riccati_bound(growth, breach):
     g = build_grid(0.1, 5.0)
     c = np.full(g.m, 0.5)
     states = [DiscreteState(g, c, 0.0), DiscreteState(g, growth * c, 1e-3)]
-    spec = KernelSpec(family_K="product", family_C="product",
-                      declared_bounds={"A1": 1.0, "A2": 1.0})
+    spec = KernelSpec(family_K="product", family_C="product")
     rep = moment_diagnostics(_series_from(states, [0.0, 0.0]), spec, g.epsilon)
     assert bool(np.all(rep.riccati_checked_mask))
     assert (("second_moment_bound", 1e-3) in rep.violations) == breach
+
+
+def test_diagnostics_read_growth_constants_off_the_registry():
+    # product K and C of value 1 give A1 = A2 = 1 with no bound declared; a
+    # constant pair has none, whatever it declares
+    g = build_grid(0.1, 5.0)
+    c = np.full(g.m, 0.5)
+    series = _series_from([DiscreteState(g, c, 0.0), DiscreteState(g, 2.0 * c, 1e-3)], [0.0, 0.0])
+    rep = moment_diagnostics(series, KernelSpec("product", 1.0, "product", 1.0), g.epsilon)
+    assert ("second_moment_bound", 1e-3) in rep.violations
+    m1, m2 = series.M1[0], series.M2[0]
+    assert rep.riccati_horizon == np.log1p(m1 / (2.0 * m2)) / (2.0 * m1)
+    spec = KernelSpec("constant", 1.0, "constant", 1.0, declared_bounds={"A1": 1.0, "A2": 1.0})
+    rep = moment_diagnostics(series, spec, g.epsilon)
+    assert rep.riccati_bound is rep.riccati_checked_mask is rep.riccati_horizon is None
+    assert "second_moment_bound" not in {kind for kind, _ in rep.violations}
+
+
+@pytest.mark.parametrize("t", [0.5, 1e6])
+def test_diagnostics_zero_growth_constants_bound_m2_for_all_time(t):
+    # K = C = 0 (A = 0): the bound is M2(0) at every time, and t* is infinite
+    g = build_grid(0.1, 5.0)
+    c = np.full(g.m, 0.5)
+    spec = KernelSpec("sum", 0.0, "constant", 0.0)
+    for factor, breach in ((1.0, False), (1.01, True)):
+        series = _series_from([DiscreteState(g, c, 0.0), DiscreteState(g, factor * c, t)],
+                              [0.0, 0.0])
+        rep = moment_diagnostics(series, spec, g.epsilon, rtol=1.0)
+        assert rep.riccati_horizon == np.inf and bool(np.all(rep.riccati_checked_mask))
+        assert rep.riccati_bound[1] == pytest.approx(series.M2[0], rel=1e-15)
+        assert (("second_moment_bound", t) in rep.violations) == breach
 
 
 def _nan_at(name, k):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import pathlib
 import re
@@ -10,12 +11,14 @@ import pytest
 import yaml
 
 import dcasim.cli
+import dcasim.integrator
 import dcasim.runs
 from dcasim.cli import EXIT_CONFIG, EXIT_INTEGRATOR, EXIT_OK, EXIT_VALIDATION, main
 from dcasim.integrator import IntegrationError
 from dcasim.kernels import KernelSpec
 from dcasim.output import snapshot_filename, write_snapshot_csv
-from dcasim.state import AprioriBoundError, DiscreteState
+from dcasim.analysis import AprioriBoundError
+from dcasim.state import DiscreteState
 
 from oracle import body_of, small_grid
 
@@ -286,6 +289,23 @@ def test_kernel_block_overrides_case_kernels(tmp_path, capsys, case):
     assert "FAIL  sublinear growth of K (CH1)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kernel, horizon", [
+    ({"K": "product", "C": "product"}, True), ({"K": "product", "C": "constant"}, False),
+    (None, False)], ids=["product-product", "product-constant", "case1"])
+def test_riccati_horizon_header_only_with_both_growth_constants(tmp_path, kernel, horizon):
+    # product K and C of value 1 read A1 = A2 = 1 off the registry, so every file
+    # heads t* = ln(1 + M1/(2 M2)) / (2 M1) of the t = 0 row; a constant kernel has no A
+    cfg = _write_config(tmp_path, {**FAST_YAML, **({"kernel": kernel} if kernel else {})})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    m1, m2 = (float(v) for v in body_of(out / "moments.csv").splitlines()[1].split(",")[2:4])
+    for name in sorted(os.listdir(out)):
+        header = _header(out / name)
+        assert ("riccati_horizon" in header) == horizon, name
+        if horizon:
+            assert float(header["riccati_horizon"]) == math.log1p(m1 / (2.0 * m2)) / (2.0 * m1)
+
+
 def test_headers_record_case_parameter(tmp_path):
     cfg = _write_config(tmp_path, {**FAST_YAML, "case": "case3", "M": 2.5})
     out = str(tmp_path / "sim")
@@ -333,6 +353,37 @@ def test_apriori_bound_violation_is_validation_failure(tmp_path, monkeypatch, ca
     cfg = _write_config(tmp_path, FAST_YAML)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
     assert "a-priori density bounds violated" in capsys.readouterr().err
+
+
+def _doubling(at_epsilon):
+    """``integrate`` whose snapshots hold twice the concentrations on the grid of
+    each epsilon in ``at_epsilon``: the number count M0 rises."""
+    def integrate(state0, dk, config, times):
+        snapshots, stats = dcasim.integrator.integrate(state0, dk, config, times)
+        if dk.grid.epsilon in at_epsilon:
+            snapshots = [DiscreteState(st.grid, 2.0 * st.c, st.t) for st in snapshots]
+        return snapshots, stats
+    return integrate
+
+
+def test_moment_verdict_failure_is_validation_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dcasim.runs, "integrate", _doubling({0.2, 0.1}))
+    cfg = _write_config(tmp_path, FAST_YAML)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == ("validation failure: moment verdict failed: M0_increase at t=0.5, "
+                   "mass_defect_mismatch at t=0.5, mass_defect_mismatch at t=1.0\n")
+    assert not os.path.exists(tmp_path / "out" / "moments.csv")
+    # sweep keeps the other epsilon and notes the one that failed
+    monkeypatch.setattr(dcasim.runs, "integrate", _doubling({0.1}))
+    cfg = _write_config(tmp_path, {**SWEEP_YAML, "snapshot_times": [0.5]})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    failed = ("epsilon=0.1 failed: AprioriBoundError: moment verdict failed: "
+              "M0_increase at t=0.5, mass_defect_mismatch at t=0.5")
+    assert capsys.readouterr().err == failed + "\n"
+    with open(tmp_path / "sweep" / "errors_t0.5.csv") as fh:
+        notes = [line for line in fh if line.startswith("# failed")]
+    assert notes == [f"# failed {failed.replace(' failed:', ':', 1)}\n"]
 
 
 def _underflow(cfg):

@@ -9,7 +9,7 @@ import pytest
 import dcasim.grid
 from dcasim.grid import build_grid
 from dcasim.kernels import (FAMILIES, HypothesisReport, KernelSpec, discretize, finite_float,
-                            probe_hypotheses)
+                            growth_constants, probe_hypotheses)
 from dcasim.rhs import mass_defect_rate, rhs_vector
 from dcasim.runs import RunConfig
 
@@ -268,6 +268,23 @@ def test_probe_ch2_truth_table(family, value, bounds):
     # families and values, so no declared bound changes its verdict
     rep = probe_hypotheses(KernelSpec(family_C=family, C_value=value, declared_bounds=bounds))
     assert rep.ch2_pass == (family == "constant" or value == 0.0)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_growth_constants_truth_table(family, value):
+    # K <= A*x*y holds with A = L for a product of value L and A = 0 for any
+    # kernel of value 0; a constant or sum of value L > 0 has no A, since
+    # K/(x*y) grows without bound as x and y tend to 0
+    expected = {"product": value}.get(family, None if value else 0.0)
+    assert growth_constants(KernelSpec(family_K=family, K_value=value)) == (expected, None)
+    assert growth_constants(KernelSpec(family_C=family, C_value=value,
+                                       declared_bounds={"A1": 7.0, "A2": 7.0})) == (None, expected)
+    xs = (1e-4, 1e-2, 1.0, 1e2)
+    for which, spec in (("K", KernelSpec(family_K=family, K_value=value)),
+                        ("C", KernelSpec(family_C=family, C_value=value))):
+        ratio = max(kernel_value(spec, which, x, y) / (x * y) for x in xs for y in xs)
+        assert ratio == expected if expected is not None else ratio >= 1e3 * value
 
 
 def test_hypothesis_report_holds_only_the_two_conditions():

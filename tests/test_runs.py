@@ -24,11 +24,12 @@ def test_config_validation():
                 {"snapshot_times": 1.0}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
-    # a run reads no declared bound: A1 and A2 feed only moment_diagnostics, and
-    # CH2 reads C's bound, C_value, off the registry, so M_cal is no bound at all
+    # a run reads no declared bound: moment_diagnostics reads A1 and A2, and CH2
+    # C's bound, C_value, off the registry, so M_cal is no bound at all
     spec = KernelSpec(declared_bounds=None)
     assert RunConfig(kernel=spec).kernel is spec
-    with pytest.raises(ValueError, match="declared_bounds A1, A2 feed only"):
+    with pytest.raises(ValueError, match="declared_bounds A1, A2 are read by no run: a run "
+                                         "reads A1 and A2 off the kernel registry"):
         RunConfig(kernel=KernelSpec(declared_bounds={"A2": 1.0, "A1": 1.0}))
     with pytest.raises(ValueError, match="unknown declared_bounds keys M_cal"):
         RunConfig(kernel=KernelSpec(declared_bounds={"M_cal": 2.0}))

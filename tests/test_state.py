@@ -5,9 +5,7 @@ import pytest
 
 from dcasim.exact import ExactCase, initial_profile
 from dcasim.grid import build_grid
-from dcasim.state import (AprioriBoundError, DiscreteState, MomentSeries,
-                          check_apriori_bounds, moment, project_initial,
-                          weighted_initial_norm)
+from dcasim.state import DiscreteState, MomentSeries, moment, project_initial
 
 from oracle import small_grid, step_value
 
@@ -69,7 +67,6 @@ def test_initial_profile_projects_as_literal_formula(case, literal):
         (st, loss), (ref, ref_loss) = project_initial(f_in, g), project_initial(literal, g)
         np.testing.assert_array_equal(st.c, ref.c)
         assert loss == ref_loss, (eps, x_max)
-        assert weighted_initial_norm(f_in, x_max) == weighted_initial_norm(literal, x_max)
 
 
 def test_project_uniform_interior_cell():
@@ -185,35 +182,3 @@ def test_moment_rejects_nan_order(r):
     with pytest.raises(ValueError, match="moment order"):
         moment(st, r)
 
-
-def test_weighted_initial_norm():
-    # int_0^10 (1 + x) x e^{-x} dx, against the closed form
-    val = weighted_initial_norm(_exp_profile, 10.0)
-    closed = 3.0 - np.exp(-10.0) * (10.0**2 + 3 * 10.0 + 3)
-    assert val == pytest.approx(closed, rel=1e-10)
-
-
-def test_apriori_bounds_pass_and_fail():
-    g = build_grid(0.1, 10.0)
-    st, _ = project_initial(_exp_profile, g)
-    norm = weighted_initial_norm(_exp_profile, 10.0)
-    check_apriori_bounds(_series(st), norm)  # projection respects both bounds
-    bad = DiscreteState(g, st.c * 100.0)
-    with pytest.raises(RuntimeError):
-        check_apriori_bounds(_series(bad), norm)
-
-
-def test_apriori_bounds_read_the_latest_row():
-    g = build_grid(0.1, 10.0)
-    st, _ = project_initial(_exp_profile, g)
-    norm = weighted_initial_norm(_exp_profile, 10.0)
-    bad = DiscreteState(g, st.c * 100.0, t=1.0)
-    with pytest.raises(AprioriBoundError, match="at t=1.0: M0="):
-        check_apriori_bounds(_series(st, bad), norm)
-    # a bound broken only at an earlier row is that row's check
-    check_apriori_bounds(_series(bad, DiscreteState(g, st.c, t=2.0)), norm)
-
-
-def test_zero_state_bounds_trivial():
-    g = build_grid(0.1, 10.0)
-    check_apriori_bounds(_series(DiscreteState(g, np.zeros(g.m))), 0.0)
